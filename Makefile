@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-ml bench-train bench-train-smoke bench-infer bench-infer-smoke bench-infer-int8 bench-infer-int8-smoke bench-serve bench-serve-smoke bench-collect bench-collect-smoke bench-dist bench-dist-smoke check-infer-equivalence check-int8-agreement check-train-equivalence check-telemetry-merge check-dist-equivalence bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
+.PHONY: all build vet test race bench bench-ml bench-infer bench-infer-smoke bench-infer-int8 bench-infer-int8-smoke bench-serve bench-serve-smoke bench-collect bench-collect-smoke bench-dist bench-dist-smoke check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
 
 # Run directory for benchmark artifacts. Every bench target drops all of its
 # outputs — profiles and the machine-readable JSON from cmd/benchjson — into
@@ -46,18 +46,6 @@ bench: | $(OUTDIR)
 bench-ml: | $(OUTDIR)
 	$(GO) test -run xxx -bench 'BenchmarkTrainPaperNet|BenchmarkGEMM|BenchmarkPredictBatch|BenchmarkGemm32Kernel|BenchmarkAblationClassifiers' -benchmem . ./internal/ml \
 		| $(GO) run ./cmd/benchjson -tee -o $(OUTDIR)/BENCH_ml.json
-
-# Training fast path only: end-to-end PaperNet training (serial vs
-# parallel) plus the batched-vs-per-sample engine ablation. BENCH_train.json
-# at the repo root is the committed baseline future changes diff against.
-bench-train: | $(OUTDIR)
-	$(GO) test -run xxx -bench 'BenchmarkTrainPaperNet|BenchmarkFitBatched' -benchmem . ./internal/ml \
-		| $(GO) run ./cmd/benchjson -tee -o $(OUTDIR)/BENCH_train.json
-
-# One-iteration pass over the training benchmarks: catches bit-rot in the
-# batched-engine benchmark plumbing without paying for stable timings.
-bench-train-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkTrainPaperNet|BenchmarkFitBatched' -benchtime 1x . ./internal/ml
 
 # Inference fast path only: compiled-vs-reference PredictBatch plus the f32
 # kernel behind it.
@@ -146,13 +134,6 @@ check-int8-agreement:
 	$(GO) test -run 'TestInt8ReferenceAgreementRate' -v ./internal/core \
 		| grep -- '--- PASS: TestInt8ReferenceAgreementRate'
 
-# The batch-major training engine must produce bit-identical trained weights
-# to the per-sample reference at every Parallelism. Same grep discipline as
-# check-infer-equivalence: a silent skip prints no PASS and fails ci.
-check-train-equivalence:
-	$(GO) test -run 'TestTrainBatchedPerSampleEquivalence' -v ./internal/ml \
-		| grep -- '--- PASS: TestTrainBatchedPerSampleEquivalence'
-
 # The telemetry merge property: aggregating two registries through the
 # binary wire format must equal merging their snapshots directly,
 # bucket-for-bucket. Same grep discipline as the other equivalence gates.
@@ -167,6 +148,13 @@ check-telemetry-merge:
 check-dist-equivalence:
 	$(GO) test -run 'TestDistManifestEquivalence' -v ./internal/dist \
 		| grep -- '--- PASS: TestDistManifestEquivalence'
+
+# The repository benchmark's own tests (bench/ is a separate module): every
+# workload runs once at seed 1 and its outputs must match the pinned
+# digests in bench/testdata, so any change to the four workloads' results
+# fails ci.
+check-bench:
+	cd bench && $(GO) test -count=1 .
 
 # One-iteration pass over the simulation-side benchmarks: catches bit-rot in
 # benchmark code without paying for stable timings.
@@ -206,7 +194,7 @@ smoke-dist:
 	grep -q '"source": "smoke-w' smoke-dist-out/run.json
 	rm -rf smoke-dist-out
 
-ci: build vet test race bench-smoke bench-infer-smoke bench-infer-int8-smoke bench-train-smoke bench-serve-smoke bench-collect-smoke bench-dist-smoke check-infer-equivalence check-int8-agreement check-train-equivalence check-telemetry-merge check-dist-equivalence smoke-obs smoke-telemetry smoke-dist
+ci: build vet test race bench-smoke bench-infer-smoke bench-infer-int8-smoke bench-serve-smoke bench-collect-smoke bench-dist-smoke check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist
 
 clean:
 	$(GO) clean

@@ -6,7 +6,6 @@
 //
 //	experiments [-scale small|medium|full] [-only t1,t2,f3,...] [-out dir]
 //	            [-md report.md] [-seed N] [-clf centroid|knn|logreg|cnn]
-//	            [-trainbatch on|off]
 //	            [-obs] [-progress 2s] [-manifest run.json] [-httpaddr :0]
 //	            [-outdir dir] [-cpuprofile f] [-memprofile f]
 //	            [-coordinator :port [-celldeadline 5m]]
@@ -65,7 +64,6 @@ func run() int {
 	clf := flag.String("clf", "", "classifier for all experiments: centroid (default), knn, logreg, cnn")
 	infer := flag.String("infer", "compiled", "inference engine for trained models: compiled (frozen f32 fast path), int8 (quantized tier, falls back to compiled per model), or reference (f64 training graph)")
 	inferPar := flag.Int("inferpar", 0, "intra-op workers for compiled inference GEMMs (0 = GOMAXPROCS); output is identical for every value")
-	trainBatch := flag.String("trainbatch", "on", "training engine for gradient-trained classifiers: on (batch-major fast path) or off (per-sample reference); trained weights are bit-identical either way")
 	obsOn := flag.Bool("obs", false, "enable the observability layer (metrics + span tracing)")
 	progress := flag.Duration("progress", 0, "live progress-line interval on stderr (implies -obs)")
 	manifestPath := flag.String("manifest", "", "write a run-manifest JSON to this file (implies -obs)")
@@ -93,10 +91,6 @@ func run() int {
 	}
 
 	if err := core.ConfigureInference(*infer, *inferPar); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if err := core.ConfigureTraining(*trainBatch); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
@@ -231,7 +225,6 @@ func run() int {
 		}
 		m.Config["infer"] = *infer
 		m.Config["inferpar"] = fmt.Sprint(*inferPar)
-		m.Config["trainbatch"] = *trainBatch
 		m.Config["cells"] = fmt.Sprint(*cells)
 		m.Config["dscache"] = fmt.Sprint(*dsCacheCap)
 		m.Config["dsbudget"] = fmt.Sprint(*dsBudget)
@@ -527,7 +520,8 @@ func (r runner) figure6() error {
 	fmt.Printf("  gaps explained by interrupts: %.2f%% (paper: >99%%)\n",
 		100*res.Attribution.ExplainedFraction())
 	var csv [][]string
-	for ty, h := range res.Histograms {
+	for _, ty := range res.Types {
+		h := res.Histograms[ty]
 		mode := h.Mode()
 		total := 0
 		for _, c := range h.Counts {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -335,6 +336,30 @@ func TestFigure6(t *testing.T) {
 	}
 	if _, err := Figure6(0, 7); err == nil {
 		t.Fatal("loads=0 accepted")
+	}
+}
+
+// TestFigure6LegendOrder checks Figure6 lists its interrupt types in the
+// figure's legend order, one histogram each, so output rows are stable.
+func TestFigure6LegendOrder(t *testing.T) {
+	res, err := Figure6(1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legend := []interrupt.Type{
+		interrupt.SoftNetRX, interrupt.SoftTimer, interrupt.SoftTasklet,
+		interrupt.LocalTimer, interrupt.IRQWork, interrupt.NetRX,
+	}
+	if !slices.Equal(res.Types, legend) {
+		t.Fatalf("types %v, want legend order %v", res.Types, legend)
+	}
+	if len(res.Histograms) != len(legend) {
+		t.Fatalf("%d histograms for %d types", len(res.Histograms), len(legend))
+	}
+	for _, ty := range res.Types {
+		if res.Histograms[ty] == nil {
+			t.Fatalf("%v: no histogram", ty)
+		}
 	}
 }
 

@@ -101,24 +101,6 @@ func ConfigureInference(mode string, par int) error {
 	return nil
 }
 
-// ConfigureTraining selects the training engine for gradient-trained
-// classifiers, mirroring cmd/experiments' -trainbatch flag. mode "", "on",
-// or "batched" uses the batch-major shard path (bit-identical to the
-// reference — see TestTrainBatchedPerSampleEquivalence); "off" or
-// "persample" forces the per-sample reference engine. Not safe to call
-// concurrently with running experiments.
-func ConfigureTraining(mode string) error {
-	switch mode {
-	case "", "on", "batched":
-		ml.SetTrainBatched(true)
-	case "off", "persample":
-		ml.SetTrainBatched(false)
-	default:
-		return fmt.Errorf("core: unknown training mode %q (want on or off)", mode)
-	}
-	return nil
-}
-
 // Result summarizes one experiment's cross-validated accuracy.
 type Result struct {
 	Scenario string

@@ -164,8 +164,10 @@ func Figure5(runs int, seed uint64) ([]Figure5Series, error) {
 
 // Figure6Result maps each interrupt type shown in the figure to the
 // histogram of total gap lengths it was associated with, plus the overall
-// attribution statistics.
+// attribution statistics. Types lists the histogram keys in the figure's
+// legend order; iterate it rather than the map for a stable row order.
 type Figure6Result struct {
+	Types       []interrupt.Type
 	Histograms  map[interrupt.Type]*stats.Histogram
 	Attribution ebpf.Attribution
 }
@@ -217,7 +219,7 @@ func Figure6(loads int, seed uint64) (Figure6Result, error) {
 			}
 		}
 	}
-	return Figure6Result{Histograms: hists, Attribution: agg}, nil
+	return Figure6Result{Types: types, Histograms: hists, Attribution: agg}, nil
 }
 
 // Figure7Series is one timer's transfer function sampled over a window.

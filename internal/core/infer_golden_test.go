@@ -29,10 +29,10 @@ func scoreArgmax(scores [][]float64) []int {
 // CompiledModel, at serial and parallel intra-op worker counts. make ci
 // greps for this test's PASS line, so it must never be skipped.
 func TestCompiledReferenceEquivalence(t *testing.T) {
-	wasOn := ml.InferCompiledEnabled()
+	wasTier := ml.ActiveInferTier()
 	wasPar := ml.InferParallelism()
 	defer func() {
-		ml.SetInferCompiled(wasOn)
+		ml.SetInferTier(wasTier)
 		ml.SetInferParallelism(wasPar)
 	}()
 
@@ -67,11 +67,11 @@ func TestCompiledReferenceEquivalence(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s does not implement BatchScorer", name)
 				}
-				ml.SetInferCompiled(false)
+				ml.SetInferTier(ml.TierReference)
 				ref := bs.ScoresBatch(values)
 				refTop := scoreArgmax(ref)
 
-				ml.SetInferCompiled(true)
+				ml.SetInferTier(ml.TierCompiled)
 				for _, par := range []int{1, runtime.NumCPU()} {
 					ml.SetInferParallelism(par)
 					got := bs.ScoresBatch(values)

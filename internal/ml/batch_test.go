@@ -6,54 +6,16 @@ import (
 	"repro/internal/sim"
 )
 
-// trainEquivMode trains the trainEquiv model with the batched path forced
-// on or off and returns weights and accuracy.
-func trainEquivMode(t *testing.T, par int, batched bool) (Weights, float64) {
-	t.Helper()
-	was := TrainBatchedEnabled()
-	SetTrainBatched(batched)
-	defer SetTrainBatched(was)
-	return trainEquiv(t, par)
-}
-
-// TestTrainBatchedPerSampleEquivalence is the acceptance gate of the
-// batch-major fast path: trained weights must be bit-identical to the
-// per-sample reference engine, at Parallelism 1 and ≥4, dropout active.
-func TestTrainBatchedPerSampleEquivalence(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		refW, refAcc := trainEquivMode(t, par, false)
-		w, acc := trainEquivMode(t, par, true)
-		if acc != refAcc {
-			t.Errorf("par=%d: batched accuracy %v != per-sample %v", par, acc, refAcc)
-		}
-		if len(w.Blobs) != len(refW.Blobs) {
-			t.Fatalf("par=%d: %d blobs vs %d", par, len(w.Blobs), len(refW.Blobs))
-		}
-		for bi := range w.Blobs {
-			for i := range w.Blobs[bi] {
-				if w.Blobs[bi][i] != refW.Blobs[bi][i] {
-					t.Fatalf("par=%d: blob %d elem %d differs: batched %v vs per-sample %v",
-						par, bi, i, w.Blobs[bi][i], refW.Blobs[bi][i])
-				}
-			}
-		}
-	}
-}
-
-// TestBatchedEngineSteadyStateAllocs checks the batched engine's per-batch
-// cost is O(1) allocations once its arenas are warm — not O(batch size)
-// like the per-sample path's CrossEntropy.
-func TestBatchedEngineSteadyStateAllocs(t *testing.T) {
+// TestTrainEngineSteadyStateAllocs checks the training engine's per-batch
+// cost is O(1) allocations once its arenas are warm, not O(batch size).
+func TestTrainEngineSteadyStateAllocs(t *testing.T) {
 	X, y := equivDataset(16, 160)
 	model, err := PaperNet(5, 160, 4, 4, 6, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newTrainEngine(model, 1, X)
+	eng := newTrainEngine(model, 1)
 	defer eng.close()
-	if !eng.batched {
-		t.Fatal("engine did not select the batched path")
-	}
 	batch := make([]int, len(X))
 	for i := range batch {
 		batch[i] = i
@@ -69,7 +31,7 @@ func TestBatchedEngineSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 2 {
-		t.Fatalf("batched trainBatch allocates %v per batch in steady state; want O(1)", allocs)
+		t.Fatalf("trainBatch allocates %v per batch in steady state; want O(1)", allocs)
 	}
 }
 
@@ -85,7 +47,7 @@ func TestEngineAccuracyMatchesAccuracyParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		eng := newTrainEngine(model, par, X)
+		eng := newTrainEngine(model, par)
 		got := eng.accuracy(X, y)
 		eng.close()
 		if want := model.AccuracyParallel(X, y, par); got != want {
@@ -108,31 +70,4 @@ func TestStreamReseedMatchesNewStream(t *testing.T) {
 			}
 		}
 	}
-}
-
-// benchFit trains a small PaperNet with the given mode for the benchmark.
-func benchFit(b *testing.B, par int, batched bool) {
-	was := TrainBatchedEnabled()
-	SetTrainBatched(batched)
-	defer SetTrainBatched(was)
-	X, y := equivDataset(48, 300)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model, err := PaperNet(7, 300, 4, 16, 16, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := FitConfig{Epochs: 2, BatchSize: 16, LR: 0.003, Seed: 11, Parallelism: par}
-		if err := model.Fit(X, y, nil, nil, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFitBatched compares the batch-major fast path against the
-// per-sample reference engine on the paper's network shape.
-func BenchmarkFitBatched(b *testing.B) {
-	b.Run("batched", func(b *testing.B) { benchFit(b, 0, true) })
-	b.Run("persample", func(b *testing.B) { benchFit(b, 0, false) })
 }

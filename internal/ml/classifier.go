@@ -269,7 +269,7 @@ func (lr *LogReg) Scores(values []float64) []float64 {
 }
 
 // ScoresBatch scores traces through the compiled fast path when enabled
-// (see BatchScorer and SetInferCompiled).
+// (see BatchScorer and SetInferTier).
 func (lr *LogReg) ScoresBatch(values [][]float64) [][]float64 {
 	return predictPrepped(lr.model, &lr.cc, lr.Prep, lr.inLen, values, lr.Parallelism)
 }
@@ -366,7 +366,7 @@ func (c *CNNLSTM) Scores(values []float64) []float64 {
 }
 
 // ScoresBatch scores traces through the compiled fast path when enabled
-// (see BatchScorer and SetInferCompiled).
+// (see BatchScorer and SetInferTier).
 func (c *CNNLSTM) ScoresBatch(values [][]float64) [][]float64 {
 	return predictPrepped(c.model, &c.cc, c.Prep, c.inLen, values, c.Parallelism)
 }

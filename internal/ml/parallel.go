@@ -27,18 +27,6 @@ func parWorkers(par, n int) int {
 	return par
 }
 
-// collectSampleAware gathers the layers whose randomness must be keyed by
-// sample index (dropout) so sharded training stays deterministic.
-func collectSampleAware(s *Sequential) []sampleAware {
-	var out []sampleAware
-	for _, l := range s.Layers {
-		if sa, ok := l.(sampleAware); ok {
-			out = append(out, sa)
-		}
-	}
-	return out
-}
-
 // forEachSample runs fn(model, i) for every i in [0, n) across par workers,
 // each on a weight-sharing replica (or the model itself when serial).
 func (s *Sequential) forEachSample(n, par int, fn func(model *Sequential, i int)) {
@@ -46,14 +34,8 @@ func (s *Sequential) forEachSample(n, par int, fn func(model *Sequential, i int)
 }
 
 // forEachSampleWorker partitions [0, n) into `workers` contiguous chunks and
-// runs chunk w on worker w's replica. Falls back to serial execution on the
-// model itself when a layer cannot be replicated.
+// runs chunk w on worker w's replica.
 func (s *Sequential) forEachSampleWorker(n, workers int, fn func(model *Sequential, w, i int)) {
-	if workers > 1 {
-		if _, ok := s.replicate(); !ok {
-			workers = 1
-		}
-	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(s, 0, i)
@@ -62,7 +44,6 @@ func (s *Sequential) forEachSampleWorker(n, workers int, fn func(model *Sequenti
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		model, _ := s.replicate()
 		lo, hi := w*n/workers, (w+1)*n/workers
 		wg.Add(1)
 		go func(model *Sequential, w, lo, hi int) {
@@ -70,27 +51,23 @@ func (s *Sequential) forEachSampleWorker(n, workers int, fn func(model *Sequenti
 			for i := lo; i < hi; i++ {
 				fn(model, w, i)
 			}
-		}(model, w, lo, hi)
+		}(s.replicate(), w, lo, hi)
 	}
 	wg.Wait()
 }
 
 // replicaState is one training worker: a weight-sharing model replica plus
-// its private parameter list, sample-aware layers, loss-grad scratch, and —
-// on the batched path — the shard's input/probability/label arenas.
+// its private parameter list and the arenas it reuses for every shard: the
+// input batch (when samples are gathered rather than aliased), the
+// loss-gradient batch, softmax probabilities, labels, and sample indices.
 type replicaState struct {
-	seq     *Sequential
-	params  []*Param
-	samples []sampleAware
-	gbuf    *Tensor
-
-	// Batch-major path arenas, allocated once per Fit and reused for every
-	// shard this worker runs.
-	bLayers []batchLayer
-	bIn     *batchT
-	bGrad   *batchT
-	probs   []float64
-	labels  []int
+	seq    *Sequential
+	params []*Param
+	in     *batchT
+	grad   *batchT
+	probs  []float64
+	labels []int
+	idx    []int
 }
 
 // engTask is one unit of pool work: a gradient shard (train) or a
@@ -118,57 +95,24 @@ type engTask struct {
 // goroutine spawns and replica re-derivation. Fit must close() the engine
 // to release the workers.
 type trainEngine struct {
-	model     *Sequential
 	params    []*Param
 	replicas  []*replicaState
 	shardG    [][][]float64 // [shard][param][elem]
 	shardLoss [maxGradShards]float64
 
-	// batched selects the batch-major shard path (batch.go); decided once
-	// per Fit, before the workers start.
-	batched bool
-
 	tasks       chan engTask
 	wg          sync.WaitGroup
 	evalCorrect [maxGradShards]int
-
-	// serialDirect trains on the model itself in sample order when a
-	// foreign layer prevents replication.
-	serialDirect bool
-	samples      []sampleAware
-	gbuf         *Tensor
 }
 
-// uniformShape reports whether every tensor has X[0]'s shape — the
-// precondition for packing samples into one batch tensor.
-func uniformShape(X []*Tensor) bool {
-	for _, x := range X[1:] {
-		if x.Rows != X[0].Rows || x.Cols != X[0].Cols {
-			return false
-		}
-	}
-	return true
-}
-
-// newTrainEngine builds the engine for one Fit over X: replicas, per-shard
-// gradient buffers, the batched-vs-per-sample decision, and (when more than
-// one worker) the persistent pool.
-func newTrainEngine(s *Sequential, par int, X []*Tensor) *trainEngine {
-	e := &trainEngine{model: s, params: s.Params()}
-	if _, ok := s.replicate(); !ok {
-		e.serialDirect = true
-		e.samples = collectSampleAware(s)
-		return e
-	}
+// newTrainEngine builds the engine for one Fit: replicas, per-shard
+// gradient buffers, and (when more than one worker) the persistent pool.
+func newTrainEngine(s *Sequential, par int) *trainEngine {
+	e := &trainEngine{params: s.Params()}
 	workers := parWorkers(par, maxGradShards)
 	for w := 0; w < workers; w++ {
-		rep, _ := s.replicate()
-		e.replicas = append(e.replicas, &replicaState{
-			seq:     rep,
-			params:  rep.Params(),
-			samples: collectSampleAware(rep),
-			bLayers: batchLayers(rep),
-		})
+		rep := s.replicate()
+		e.replicas = append(e.replicas, &replicaState{seq: rep, params: rep.Params()})
 	}
 	for si := 0; si < maxGradShards; si++ {
 		bufs := make([][]float64, len(e.params))
@@ -177,8 +121,6 @@ func newTrainEngine(s *Sequential, par int, X []*Tensor) *trainEngine {
 		}
 		e.shardG = append(e.shardG, bufs)
 	}
-	e.batched = trainBatchedOn && len(X) > 0 && uniformShape(X) &&
-		e.replicas[0].bLayers != nil
 	if workers > 1 {
 		e.tasks = make(chan engTask, maxGradShards)
 		for _, r := range e.replicas {
@@ -194,13 +136,9 @@ func newTrainEngine(s *Sequential, par int, X []*Tensor) *trainEngine {
 func (e *trainEngine) worker(r *replicaState, tasks chan engTask) {
 	for t := range tasks {
 		if t.train {
-			if e.batched {
-				e.runShardBatched(r, t.si, t.S, t.X, t.y, t.batch, t.sampleBase)
-			} else {
-				e.runShard(r, t.si, t.S, t.X, t.y, t.batch, t.sampleBase)
-			}
+			e.runShard(r, t.si, t.S, t.X, t.y, t.batch, t.sampleBase)
 		} else {
-			e.runEval(r, t)
+			e.evalCorrect[t.slot] = e.evalRange(r, t.X, t.y, t.lo, t.hi)
 		}
 		e.wg.Done()
 	}
@@ -221,24 +159,6 @@ func (e *trainEngine) close() {
 func (e *trainEngine) trainBatch(X []*Tensor, y []int, batch []int, sampleBase uint64) float64 {
 	mTrainBatches.Inc()
 	mTrainSamples.Add(int64(len(batch)))
-	if e.serialDirect {
-		var loss float64
-		for bi, idx := range batch {
-			for _, sa := range e.samples {
-				sa.setSample(sampleBase + uint64(bi))
-			}
-			out := e.model.Forward(X[idx], true)
-			l, grad := CrossEntropy(out.Data, y[idx])
-			loss += l
-			e.gbuf = ensure(e.gbuf, out.Rows, out.Cols)
-			copy(e.gbuf.Data, grad)
-			e.model.Backward(e.gbuf)
-		}
-		return loss
-	}
-	if e.batched {
-		mTrainBatchedBatches.Inc()
-	}
 	S := len(batch)
 	if S > maxGradShards {
 		S = maxGradShards
@@ -252,11 +172,7 @@ func (e *trainEngine) trainBatch(X []*Tensor, y []int, batch []int, sampleBase u
 	if e.tasks == nil || S == 1 {
 		r := e.replicas[0]
 		for si := 0; si < S; si++ {
-			if e.batched {
-				e.runShardBatched(r, si, S, X, y, batch, sampleBase)
-			} else {
-				e.runShard(r, si, S, X, y, batch, sampleBase)
-			}
+			e.runShard(r, si, S, X, y, batch, sampleBase)
 		}
 	} else {
 		e.wg.Add(S)
@@ -275,83 +191,73 @@ func (e *trainEngine) trainBatch(X []*Tensor, y []int, batch []int, sampleBase u
 	return loss
 }
 
-// runShard trains replica r on shard si of S: it rebinds the replica's
-// gradient accumulators to the shard's buffers, then forward/backwards the
-// shard's contiguous slice of the batch in order.
-func (e *trainEngine) runShard(r *replicaState, si, S int, X []*Tensor, y []int, batch []int, sampleBase uint64) {
-	lo, hi := si*len(batch)/S, (si+1)*len(batch)/S
-	for pi, p := range r.params {
-		p.G = e.shardG[si][pi]
+// sameShapeRun returns how many leading samples of idx (at most max) share
+// X[idx[0]]'s shape: the longest prefix that can run as one batch.
+func sameShapeRun(X []*Tensor, idx []int, max int) int {
+	ref := X[idx[0]]
+	n := 1
+	for n < len(idx) && n < max && X[idx[n]].Rows == ref.Rows && X[idx[n]].Cols == ref.Cols {
+		n++
 	}
-	var loss float64
-	for bi := lo; bi < hi; bi++ {
-		idx := batch[bi]
-		for _, sa := range r.samples {
-			sa.setSample(sampleBase + uint64(bi))
-		}
-		out := r.seq.Forward(X[idx], true)
-		l, grad := CrossEntropy(out.Data, y[idx])
-		loss += l
-		r.gbuf = ensure(r.gbuf, out.Rows, out.Cols)
-		copy(r.gbuf.Data, grad)
-		r.seq.Backward(r.gbuf)
-	}
-	e.shardLoss[si] = loss
+	return n
 }
 
-// runShardBatched trains replica r on shard si of S with the batch-major
-// path: the shard's samples pack into one batch tensor, one fused
-// forward/backward runs over the whole shard, and per-sample math inside
-// the batched layers keeps the per-sample engine's accumulation order — so
-// the shard gradients are bit-identical to runShard's.
-func (e *trainEngine) runShardBatched(r *replicaState, si, S int, X []*Tensor, y []int, batch []int, sampleBase uint64) {
-	lo, hi := si*len(batch)/S, (si+1)*len(batch)/S
-	for pi, p := range r.params {
-		p.G = e.shardG[si][pi]
-	}
-	B := hi - lo
-	if cap(r.labels) < B {
-		r.labels = make([]int, B)
-	}
-	r.labels = r.labels[:B]
-	for s := 0; s < B; s++ {
-		r.labels[s] = y[batch[lo+s]]
-	}
-	// Contiguous fast path: a shard whose samples are consecutive rows of a
-	// packed arena (see Samples) trains on an aliased view of the arena —
-	// no pack copy. Shuffled epochs rarely produce consecutive runs, but
-	// in-order fits (and the equivalence tests) skip the copy entirely;
-	// either way the batched layers read identical bytes, so gradients are
-	// unchanged.
-	var bx *batchT
+// input returns the equally shaped samples X[idx[0]], …, X[idx[n-1]] as one
+// batch. Samples that are consecutive rows of a packed arena (see Samples)
+// are aliased in place, with no copy; otherwise they are gathered into the
+// replica's input buffer. Either way the layers read identical bytes.
+func (r *replicaState) input(X []*Tensor, idx []int) *batchT {
 	consec := true
-	for s := 1; s < B; s++ {
-		if batch[lo+s] != batch[lo]+s {
+	for s := 1; s < len(idx); s++ {
+		if idx[s] != idx[0]+s {
 			consec = false
 			break
 		}
 	}
 	if consec {
-		bx = aliasBatch(X, batch[lo], B)
-	}
-	if bx == nil {
-		ref := X[batch[lo]]
-		r.bIn = ensureB(r.bIn, B, ref.Rows, ref.Cols)
-		for s := 0; s < B; s++ {
-			copy(r.bIn.sample(s), X[batch[lo+s]].Data)
+		if bx := aliasBatch(X, idx[0], len(idx)); bx != nil {
+			return bx
 		}
-		bx = r.bIn
 	}
-	base := sampleBase + uint64(lo)
-	for _, bl := range r.bLayers {
-		bx = bl.forwardBatch(bx, true, base)
+	ref := X[idx[0]]
+	r.in = ensureB(r.in, len(idx), ref.Rows, ref.Cols)
+	for s, i := range idx {
+		copy(r.in.sample(s), X[i].Data)
 	}
-	r.probs = growF(r.probs, B*bx.Rows*bx.Cols)
-	r.bGrad = ensureB(r.bGrad, B, bx.Rows, bx.Cols)
-	loss := softmaxCEBatch(bx, r.labels, r.probs, r.bGrad)
-	g := r.bGrad
-	for i := len(r.bLayers) - 1; i >= 0; i-- {
-		g = r.bLayers[i].backwardBatch(g)
+	return r.in
+}
+
+// runShard trains replica r on shard si of S: it rebinds the replica's
+// gradient accumulators to the shard's buffers, then forward/backwards the
+// shard's contiguous slice of the batch. Consecutive same-shape samples run
+// as one batch; a shard that mixes shapes runs as consecutive same-shape
+// sub-batches. Gradients and the loss accumulate in sample order either
+// way, so the split does not change a bit of the result.
+func (e *trainEngine) runShard(r *replicaState, si, S int, X []*Tensor, y []int, batch []int, sampleBase uint64) {
+	lo, hi := si*len(batch)/S, (si+1)*len(batch)/S
+	for pi, p := range r.params {
+		p.G = e.shardG[si][pi]
+	}
+	layers := r.seq.Layers
+	var loss float64
+	for b := lo; b < hi; {
+		idx := batch[b : b+sameShapeRun(X, batch[b:hi], hi-b)]
+		r.labels = r.labels[:0]
+		for _, i := range idx {
+			r.labels = append(r.labels, y[i])
+		}
+		bx := r.input(X, idx)
+		for _, l := range layers {
+			bx = l.forward(bx, true, sampleBase+uint64(b))
+		}
+		r.probs = growF(r.probs, len(bx.Data))
+		r.grad = ensureB(r.grad, bx.N, bx.Rows, bx.Cols)
+		loss = softmaxCE(bx, r.labels, r.probs, r.grad, loss)
+		g := r.grad
+		for i := len(layers) - 1; i >= 0; i-- {
+			g = layers[i].backward(g)
+		}
+		b += len(idx)
 	}
 	e.shardLoss[si] = loss
 }
@@ -362,60 +268,36 @@ func (e *trainEngine) runShardBatched(r *replicaState, si, S int, X []*Tensor, y
 const evalBatchMax = 32
 
 // evalRange scores X[lo:hi) on replica r and returns the top-1 correct
-// count. On the batched path consecutive same-shape samples forward through
-// the batched layers chunk by chunk, aliasing the sample arena directly
-// when X is packed (see Samples) and gathering into the replica's batch
-// buffer otherwise. Per the batch.go bit-identity contract each sample's
-// logits equal Forward's, so the count matches the per-sample loop exactly.
+// count. Consecutive same-shape samples forward together, up to
+// evalBatchMax at a time; per the batch.go determinism contract each
+// sample's logits equal Sequential.Forward's, so the count matches scoring
+// one sample at a time exactly.
 func (e *trainEngine) evalRange(r *replicaState, X []*Tensor, y []int, lo, hi int) int {
-	correct := 0
-	if e.batched && r.bLayers != nil {
-		for b := lo; b < hi; {
-			ref := X[b]
-			n := 1
-			for b+n < hi && n < evalBatchMax &&
-				X[b+n].Rows == ref.Rows && X[b+n].Cols == ref.Cols {
-				n++
-			}
-			bx := aliasBatch(X, b, n)
-			if bx == nil {
-				r.bIn = ensureB(r.bIn, n, ref.Rows, ref.Cols)
-				for s := 0; s < n; s++ {
-					copy(r.bIn.sample(s), X[b+s].Data)
-				}
-				bx = r.bIn
-			}
-			for _, bl := range r.bLayers {
-				bx = bl.forwardBatch(bx, false, 0)
-			}
-			C := bx.Rows * bx.Cols
-			for s := 0; s < n; s++ {
-				row := bx.Data[s*C : (s+1)*C]
-				best := 0
-				for c, v := range row {
-					if v > row[best] {
-						best = c
-					}
-				}
-				if best == y[b+s] {
-					correct++
-				}
-			}
-			b += n
-		}
-		return correct
-	}
+	r.idx = r.idx[:0]
 	for i := lo; i < hi; i++ {
-		out := r.seq.Forward(X[i], false)
-		best := 0
-		for c, v := range out.Data {
-			if v > out.Data[best] {
-				best = c
+		r.idx = append(r.idx, i)
+	}
+	correct := 0
+	for b := 0; b < len(r.idx); {
+		idx := r.idx[b : b+sameShapeRun(X, r.idx[b:], evalBatchMax)]
+		bx := r.input(X, idx)
+		for _, l := range r.seq.Layers {
+			bx = l.forward(bx, false, 0)
+		}
+		C := bx.Rows * bx.Cols
+		for s, i := range idx {
+			row := bx.Data[s*C : (s+1)*C]
+			best := 0
+			for c, v := range row {
+				if v > row[best] {
+					best = c
+				}
+			}
+			if best == y[i] {
+				correct++
 			}
 		}
-		if best == y[i] {
-			correct++
-		}
+		b += len(idx)
 	}
 	return correct
 }
@@ -429,22 +311,6 @@ func (e *trainEngine) accuracy(X []*Tensor, y []int) float64 {
 		return 0
 	}
 	if e.tasks == nil {
-		if e.serialDirect {
-			correct := 0
-			for i := range X {
-				out := e.model.Forward(X[i], false)
-				best := 0
-				for c, v := range out.Data {
-					if v > out.Data[best] {
-						best = c
-					}
-				}
-				if best == y[i] {
-					correct++
-				}
-			}
-			return float64(correct) / float64(len(X))
-		}
 		return float64(e.evalRange(e.replicas[0], X, y, 0, len(X))) / float64(len(X))
 	}
 	W := len(e.replicas)
@@ -461,9 +327,4 @@ func (e *trainEngine) accuracy(X []*Tensor, y []int) float64 {
 		total += e.evalCorrect[w]
 	}
 	return float64(total) / float64(len(X))
-}
-
-// runEval scores an eval task's sample range on the worker's replica.
-func (e *trainEngine) runEval(r *replicaState, t engTask) {
-	e.evalCorrect[t.slot] = e.evalRange(r, t.X, t.y, t.lo, t.hi)
 }

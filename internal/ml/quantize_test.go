@@ -288,7 +288,7 @@ func TestCompiledCacheTiersAndEviction(t *testing.T) {
 // call must degrade to the compiled tier, produce valid probabilities, and
 // record the fallback.
 func TestQuantizedTierFallback(t *testing.T) {
-	defer SetInferCompiled(true)
+	defer SetInferTier(ActiveInferTier())
 	const inLen = 128
 	model, err := PaperNet(7, inLen, 3, 4, 4, 0.2)
 	if err != nil {
@@ -332,7 +332,7 @@ func TestQuantizedTierFallback(t *testing.T) {
 // stay quiet; each goroutine owns its model and cache (the documented
 // usage — classifiers are per-fold), while the globals are shared.
 func TestInferKnobsRaceSafe(t *testing.T) {
-	defer SetInferCompiled(true)
+	defer SetInferTier(ActiveInferTier())
 	defer SetInferParallelism(0)
 	const inLen = 128
 	raw := make([][]float64, 6)

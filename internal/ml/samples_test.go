@@ -107,9 +107,9 @@ func TestAliasBatch(t *testing.T) {
 	}
 }
 
-// TestShardAliasMatchesGather drives runShardBatched directly at both a
-// consecutive batch (alias path) and the same samples behind heap tensors
-// (gather path): the accumulated shard gradients must be bit-identical.
+// TestShardAliasMatchesGather trains one batch at both a consecutive run of
+// arena rows (alias path) and the same samples behind heap tensors (gather
+// path): the accumulated shard gradients must be bit-identical.
 func TestShardAliasMatchesGather(t *testing.T) {
 	s := equivSamples(16, 160)
 	heapX, heapY := equivDataset(16, 160)
@@ -122,11 +122,8 @@ func TestShardAliasMatchesGather(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := newTrainEngine(model, 1, X)
+		eng := newTrainEngine(model, 1)
 		defer eng.close()
-		if !eng.batched {
-			t.Fatal("engine did not select the batched path")
-		}
 		loss := eng.trainBatch(X, y, batch, 0)
 		if loss == 0 {
 			t.Fatal("zero loss")
@@ -149,42 +146,8 @@ func TestShardAliasMatchesGather(t *testing.T) {
 	}
 }
 
-// TestTrainArenaPerSampleEquivalence re-runs the batched-vs-per-sample
-// acceptance gate with arena-backed inputs: training on Samples headers
-// (batch aliasing active wherever the shuffle leaves consecutive runs) must
-// produce weights bit-identical to the per-sample reference engine.
-func TestTrainArenaPerSampleEquivalence(t *testing.T) {
-	train := func(par int, batched bool) Weights {
-		was := TrainBatchedEnabled()
-		SetTrainBatched(batched)
-		defer SetTrainBatched(was)
-		s := equivSamples(40, 160)
-		model, err := PaperNet(5, 160, 4, 4, 6, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := FitConfig{Epochs: 3, BatchSize: 16, LR: 0.003, Seed: 9, Parallelism: par}
-		if err := model.Fit(s.X, s.Y, nil, nil, cfg); err != nil {
-			t.Fatal(err)
-		}
-		return model.ExportWeights()
-	}
-	for _, par := range []int{1, 4} {
-		refW := train(par, false)
-		w := train(par, true)
-		for bi := range w.Blobs {
-			for i := range w.Blobs[bi] {
-				if w.Blobs[bi][i] != refW.Blobs[bi][i] {
-					t.Fatalf("par=%d: blob %d elem %d differs: batched %v vs per-sample %v",
-						par, bi, i, w.Blobs[bi][i], refW.Blobs[bi][i])
-				}
-			}
-		}
-	}
-}
-
-// TestEngineAccuracyArena checks the batched eval path over an aliased
-// arena agrees with the per-sample public API.
+// TestEngineAccuracyArena checks the engine's eval path over an aliased
+// arena agrees with the one-sample-at-a-time public API.
 func TestEngineAccuracyArena(t *testing.T) {
 	s := equivSamples(30, 160)
 	model, err := PaperNet(6, 160, 4, 4, 6, 0)
@@ -195,7 +158,7 @@ func TestEngineAccuracyArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		eng := newTrainEngine(model, par, s.X)
+		eng := newTrainEngine(model, par)
 		got := eng.accuracy(s.X, s.Y)
 		eng.close()
 		if want := model.AccuracyParallel(s.X, s.Y, par); got != want {

@@ -47,23 +47,6 @@ func (t *Tensor) Clone() *Tensor {
 	return out
 }
 
-// ensure returns a rows×cols tensor backed by buf's storage when its
-// capacity suffices, allocating only on growth. It is the layers' arena
-// primitive: each layer owns its activation buffers and reshapes them per
-// sample instead of calling NewTensor per Forward/Backward. Contents are
-// unspecified; callers overwrite or zero as needed.
-func ensure(buf *Tensor, rows, cols int) *Tensor {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("ml: invalid tensor shape %dx%d", rows, cols))
-	}
-	n := rows * cols
-	if buf == nil || cap(buf.Data) < n {
-		return &Tensor{Rows: rows, Cols: cols, Data: make([]float64, n)}
-	}
-	buf.Rows, buf.Cols, buf.Data = rows, cols, buf.Data[:n]
-	return buf
-}
-
 // growF returns a length-n slice reusing s's storage when possible.
 // Contents are unspecified.
 func growF(s []float64, n int) []float64 {
