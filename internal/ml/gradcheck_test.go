@@ -121,6 +121,18 @@ func TestGradCheckGRU(t *testing.T) {
 	gradCheck(t, "gru+dense", model, X, y, 1e-6)
 }
 
+// TestGradCheckMixedLengths checks a batch whose gradient shards mix series
+// lengths, so each shard runs as consecutive same-shape sub-batches.
+func TestGradCheckMixedLengths(t *testing.T) {
+	rng := sim.NewStream(36, "gc-mixed")
+	model := &Sequential{Layers: []Layer{
+		NewLSTM(rng.Fork("l"), 1, 4),
+		NewDense(rng.Fork("d"), 4, 3),
+	}}
+	X, y := mixedLengthSeries(16) // 8 shards of 2; lengths change every 3 samples
+	gradCheck(t, "lstm+dense/mixed-len", model, X, y, 1e-6)
+}
+
 // The cases below check a single sample each, at the looser tolerances
 // they were written with.
 

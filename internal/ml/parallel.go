@@ -191,12 +191,12 @@ func (e *trainEngine) trainBatch(X []*Tensor, y []int, batch []int, sampleBase u
 	return loss
 }
 
-// sameShapeRun returns how many leading samples of idx (at most max) share
-// X[idx[0]]'s shape: the longest prefix that can run as one batch.
-func sameShapeRun(X []*Tensor, idx []int, max int) int {
+// sameShapeRun returns how many leading samples of idx (at most limit)
+// share X[idx[0]]'s shape: the longest prefix that can run as one batch.
+func sameShapeRun(X []*Tensor, idx []int, limit int) int {
 	ref := X[idx[0]]
 	n := 1
-	for n < len(idx) && n < max && X[idx[n]].Rows == ref.Rows && X[idx[n]].Cols == ref.Cols {
+	for n < len(idx) && n < limit && X[idx[n]].Rows == ref.Rows && X[idx[n]].Cols == ref.Cols {
 		n++
 	}
 	return n
