@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-ml bench-infer bench-infer-smoke bench-infer-int8 bench-infer-int8-smoke bench-serve bench-serve-smoke bench-collect bench-collect-smoke bench-dist bench-dist-smoke check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
+.PHONY: all build vet test race bench bench-ml bench-infer bench-infer-smoke bench-infer-int8 bench-infer-int8-smoke bench-serve bench-serve-smoke bench-dist bench-dist-smoke check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
 
 # Run directory for benchmark artifacts. Every bench target drops all of its
 # outputs — profiles and the machine-readable JSON from cmd/benchjson — into
@@ -19,8 +19,12 @@ all: build
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file in the repo (bench/ included) is not
+# gofmt-formatted, listing the offenders.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -86,22 +90,6 @@ bench-serve: | $(OUTDIR)
 # load-harness plumbing without paying for stable timings.
 bench-serve-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkServe' -benchtime 1x ./internal/serve
-
-# Columnar trace store: CollectDataset→Fit end to end, seed-era row storage
-# vs columnar arena (cold legs), plus the grid steady state under a
-# resident-byte budget where the mmap-backed second cache tier replaces
-# re-simulation (budget legs), and the bounded-window spill path with its
-# resident-bytes column. BENCH_collect.json at the repo root is the
-# committed baseline.
-bench-collect: | $(OUTDIR)
-	$(GO) test -run xxx -bench 'BenchmarkCollectFit|BenchmarkCollectSpill' -benchtime 5x -benchmem ./internal/core \
-		| $(GO) run ./cmd/benchjson -tee -o $(OUTDIR)/BENCH_collect.json
-
-# One-iteration pass over the collect→fit benchmarks: catches bit-rot in
-# the row-baseline and budget-cache plumbing without paying for stable
-# timings.
-bench-collect-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkCollectFit|BenchmarkCollectSpill' -benchtime 1x ./internal/core
 
 # Distributed runner: a paced 16-cell grid over 1/2/4 worker replicas
 # (dispatcher scaling — wall clock should halve per doubling) plus the
@@ -194,7 +182,7 @@ smoke-dist:
 	grep -q '"source": "smoke-w' smoke-dist-out/run.json
 	rm -rf smoke-dist-out
 
-ci: build vet test race bench-smoke bench-infer-smoke bench-infer-int8-smoke bench-serve-smoke bench-collect-smoke bench-dist-smoke check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist
+ci: build vet test race bench-smoke bench-infer-smoke bench-infer-int8-smoke bench-serve-smoke bench-dist-smoke check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist
 
 clean:
 	$(GO) clean

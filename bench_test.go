@@ -525,8 +525,8 @@ func BenchmarkAblationSlotIndexing(b *testing.B) {
 
 // collectRandomizedTimer builds a randomized-timer dataset with explicit
 // control over the storage mode.
-func collectRandomizedTimer(sc core.Scale, slotIndexed bool) (*trace.Dataset, error) {
-	ds := &trace.Dataset{NumClasses: sc.Sites}
+func collectRandomizedTimer(sc core.Scale, slotIndexed bool) (*trace.Store, error) {
+	var trs []trace.Trace
 	for label, domain := range website.ClosedWorldDomains()[:sc.Sites] {
 		profile := website.ProfileFor(domain)
 		for v := 0; v < sc.TracesPerSite; v++ {
@@ -548,18 +548,17 @@ func collectRandomizedTimer(sc core.Scale, slotIndexed bool) (*trace.Dataset, er
 				return nil, err
 			}
 			tr.Domain, tr.Label = domain, label
-			ds.Append(tr)
+			trs = append(trs, tr)
 		}
 	}
-	// Equalize lengths.
-	min := len(ds.Traces[0].Values)
-	for _, t := range ds.Traces {
-		if len(t.Values) < min {
-			min = len(t.Values)
-		}
+	// Seal trims every trace to the shortest length.
+	stride := 0
+	for _, tr := range trs {
+		stride = max(stride, len(tr.Values))
 	}
-	for i := range ds.Traces {
-		ds.Traces[i].Values = ds.Traces[i].Values[:min]
+	b := trace.NewBuilder(len(trs), stride)
+	for i, tr := range trs {
+		b.Finish(i, tr)
 	}
-	return ds, nil
+	return b.Seal(sc.Sites)
 }

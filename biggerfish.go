@@ -54,8 +54,10 @@ type (
 	TimerMaker = core.TimerMaker
 	// ClassifierMaker builds a fresh classifier per fold.
 	ClassifierMaker = core.ClassifierMaker
-	// Dataset is a labeled collection of traces.
-	Dataset = trace.Dataset
+	// Store is a sealed, columnar labeled dataset of traces.
+	Store = trace.Store
+	// View is a row subset of a Store; classifiers fit on it.
+	View = trace.View
 	// Trace is one recorded attack trace.
 	Trace = trace.Trace
 	// Browser identifies an evaluated browser.
@@ -104,7 +106,7 @@ var (
 )
 
 // CollectDataset simulates the full labeled dataset for a scenario.
-func CollectDataset(scn Scenario, sc Scale) (*Dataset, error) {
+func CollectDataset(scn Scenario, sc Scale) (*Store, error) {
 	return core.CollectDataset(scn, sc)
 }
 
@@ -114,8 +116,8 @@ func CollectTrace(scn Scenario, domain string, label, visit int, seed uint64) (T
 }
 
 // Evaluate cross-validates a classifier on a dataset.
-func Evaluate(ds *Dataset, sc Scale, mk ClassifierMaker, name string) (Result, error) {
-	return core.Evaluate(ds, sc, mk, name)
+func Evaluate(st *Store, sc Scale, mk ClassifierMaker, name string) (Result, error) {
+	return core.Evaluate(st, sc, mk, name)
 }
 
 // RunExperiment collects and evaluates in one step (§4.1's pipeline).

@@ -5,7 +5,7 @@
 //
 // Subcommands:
 //
-//	collect  simulate a labeled dataset and write it to a .gob file
+//	collect  simulate a labeled dataset and write it to a TRSF shard file
 //	eval     cross-validate a classifier on a collected dataset
 //	trace    print one site's trace as CSV
 //	compare  cross-validate every classifier family on one dataset
@@ -158,7 +158,7 @@ func cmdCollect(args []string) error {
 	isolation := fs.String("isolation", "", "comma-separated: fixedfreq,pin,noirq,vm")
 	noise := fs.String("noise", "", "countermeasure: interrupt, cache")
 	seed := fs.Uint64("seed", 1, "root seed")
-	out := fs.String("out", "dataset.gob", "output file")
+	out := fs.String("out", "dataset.trsf", "output TRSF shard file")
 	specPath := fs.String("spec", "", "JSON scenario spec file (overrides the scenario flags)")
 	_ = fs.Parse(args)
 
@@ -191,38 +191,28 @@ func cmdCollect(args []string) error {
 		return fmt.Errorf("unknown noise %q (interrupt, cache)", *noise)
 	}
 	sc := core.Scale{Sites: *sites, TracesPerSite: *traces, OpenWorld: *openWorld, Folds: 2, Seed: *seed}
-	ds, err := core.CollectDataset(scn, sc)
+	st, err := core.CollectDataset(scn, sc)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := ds.WriteGob(f); err != nil {
+	if err := st.WriteShardFile(*out); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d traces (%d classes, %d samples each) to %s\n",
-		ds.Len(), ds.NumClasses, len(ds.Traces[0].Values), *out)
+		st.Len(), st.NumClasses(), st.TraceLen(), *out)
 	return nil
 }
 
 func cmdEval(args []string) error {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
-	in := fs.String("in", "dataset.gob", "dataset file from `collect`")
+	in := fs.String("in", "dataset.trsf", "TRSF shard file from `collect`")
 	folds := fs.Int("folds", 5, "cross-validation folds")
 	clf := fs.String("classifier", "centroid", "classifier: centroid, aligned, knn, logreg, spectral, cnn-lstm")
 	seed := fs.Uint64("seed", 1, "evaluation seed")
 	confusions := fs.Int("confusions", 0, "also print the top-N confused site pairs")
 	_ = fs.Parse(args)
 
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	ds, err := trace.ReadGob(f)
+	st, err := trace.OpenShardFile(*in)
 	if err != nil {
 		return err
 	}
@@ -232,10 +222,10 @@ func cmdEval(args []string) error {
 	}
 	// Reconstruct a Scale consistent with the stored dataset: open-world
 	// datasets carry the extra non-sensitive class.
-	sites := ds.NumClasses
+	sites := st.NumClasses()
 	openWorld := 0
-	for _, t := range ds.Traces {
-		if t.Label == ds.NumClasses-1 && strings.HasPrefix(t.Domain, "open-world-") {
+	for i := 0; i < st.Len(); i++ {
+		if st.Label(i) == st.NumClasses()-1 && strings.HasPrefix(st.Domain(i), "open-world-") {
 			openWorld++
 		}
 	}
@@ -243,7 +233,7 @@ func cmdEval(args []string) error {
 		sites--
 	}
 	sc := core.Scale{Sites: sites, TracesPerSite: 1, OpenWorld: openWorld, Folds: *folds, Seed: *seed}
-	res, err := core.Evaluate(ds, sc, mk, *in+"/"+*clf)
+	res, err := core.Evaluate(st, sc, mk, *in+"/"+*clf)
 	if err != nil {
 		return err
 	}
@@ -251,13 +241,13 @@ func cmdEval(args []string) error {
 	if *confusions > 0 {
 		labels := make([]string, 0, sites)
 		seen := map[int]bool{}
-		for _, t := range ds.Traces {
-			if !seen[t.Label] && t.Label < sites {
-				seen[t.Label] = true
-				for len(labels) <= t.Label {
+		for i := 0; i < st.Len(); i++ {
+			if l := st.Label(i); !seen[l] && l < sites {
+				seen[l] = true
+				for len(labels) <= l {
 					labels = append(labels, "")
 				}
-				labels[t.Label] = t.Domain
+				labels[l] = st.Domain(i)
 			}
 		}
 		for _, p := range core.TopConfusions(res.Confusion, labels, *confusions) {
@@ -360,22 +350,17 @@ func cmdProc(args []string) error {
 
 func cmdCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	in := fs.String("in", "dataset.gob", "dataset file from `collect`")
+	in := fs.String("in", "dataset.trsf", "TRSF shard file from `collect`")
 	folds := fs.Int("folds", 5, "cross-validation folds")
 	seed := fs.Uint64("seed", 1, "evaluation seed")
 	withCNN := fs.Bool("cnn", false, "include the (slow) CNN-LSTM")
 	_ = fs.Parse(args)
 
-	f, err := os.Open(*in)
+	st, err := trace.OpenShardFile(*in)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	ds, err := trace.ReadGob(f)
-	if err != nil {
-		return err
-	}
-	sc := core.Scale{Sites: ds.NumClasses, TracesPerSite: 1, Folds: *folds, Seed: *seed}
+	sc := core.Scale{Sites: st.NumClasses(), TracesPerSite: 1, Folds: *folds, Seed: *seed}
 	names := []string{"centroid", "aligned", "knn", "logreg", "spectral"}
 	if *withCNN {
 		names = append(names, "cnn-lstm")
@@ -385,7 +370,7 @@ func cmdCompare(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.Evaluate(ds, sc, mk, name)
+		res, err := core.Evaluate(st, sc, mk, name)
 		if err != nil {
 			return err
 		}

@@ -45,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncollected %d traces of %d samples each\n",
-		ds.Len(), len(ds.Traces[0].Values))
+		ds.Len(), ds.TraceLen())
 
 	// Evaluate trains the default correlation classifier per fold and
 	// reports top-1/top-5 accuracy, as in §4.1.

@@ -12,16 +12,10 @@ import (
 	"repro/internal/trace"
 )
 
-// The collect→fit benchmark pair measures the columnar trace store
-// end-to-end: simulate a dataset, pack it for the network, and train. The
-// "row" legs reproduce the seed-era storage discipline — every trace's
-// values on their own heap slice, per-trace Apply allocations, FromSeries
-// tensor copies, no disk tier — while the "columnar" legs are the
-// production path: workers record into one arena, ApplyInto packs rows in
-// place, training reads aliased views, and budget overflow demotes to
-// mmap-backed shard files instead of dropping datasets. Simulation work is
-// identical in both legs by construction (same jobs, same seeds), so every
-// delta is storage.
+// The collect→fit benchmarks measure the columnar trace store end to end:
+// workers record into one arena, ApplyInto packs rows in place, training
+// reads aliased views, and budget overflow demotes to mmap-backed shard
+// files instead of dropping datasets.
 var benchFitScale = Scale{Sites: 4, TracesPerSite: 12, Folds: 2, Seed: 99}
 
 func benchFitScenario(name string) Scenario {
@@ -35,78 +29,25 @@ var benchFitConfig = ml.FitConfig{Epochs: 4, BatchSize: 16, LR: 0.003, Seed: 7}
 
 var benchFitPrep = ml.Preprocessor{Smooth: 3}
 
-// benchValSplit carves a deterministic 25% validation tail so each epoch
-// exercises the evaluation path too (same split in both legs).
-func benchValSplit(n int) int { return n - n/4 }
-
-// collectRowDataset is the seed-era collection path: workers return owned
-// traces (one heap slice each), trimmed to the common length afterwards.
-func collectRowDataset(scn Scenario, sc Scale) (*trace.Dataset, error) {
-	if err := scn.normalize(); err != nil {
-		return nil, err
-	}
-	jobs := datasetJobs(sc)
-	newRun := func() func(collectJob, []float64) (trace.Trace, error) {
-		arena := &kernel.Machine{}
-		return func(j collectJob, _ []float64) (trace.Trace, error) {
-			return collectOne(arena, scn, j.profile, j.label, j.visit, sc.Seed, nil)
-		}
-	}
-	results, _, err := runCollectJobs(scn.Name, jobs, sc.Parallelism, nil, nil, newRun)
-	if err != nil {
-		return nil, err
-	}
-	minLen := len(results[0].Values)
-	for _, tr := range results {
-		if len(tr.Values) < minLen {
-			minLen = len(tr.Values)
-		}
-	}
-	for i := range results {
-		results[i].Values = results[i].Values[:minLen]
-	}
-	classes := sc.Sites
-	if sc.OpenWorld > 0 {
-		classes++
-	}
-	return &trace.Dataset{Traces: results, NumClasses: classes}, nil
-}
-
-// fitRow trains through the seed-era pack path: one Apply allocation and
-// one FromSeries copy per trace, heap tensors all the way down.
-func fitRow(prep ml.Preprocessor, ds *trace.Dataset) error {
-	X := make([]*ml.Tensor, ds.Len())
-	y := make([]int, ds.Len())
-	for i, tr := range ds.Traces {
-		X[i] = ml.FromSeries(prep.Apply(tr.Values))
-		y[i] = tr.Label
-	}
-	model, err := ml.PaperNet(7, X[0].Rows, ds.NumClasses, 4, 6, 0.2)
-	if err != nil {
-		return err
-	}
-	cut := benchValSplit(len(X))
-	return model.Fit(X[:cut], y[:cut], X[cut:], y[cut:], benchFitConfig)
-}
-
 // fitColumnar trains through the arena path: ApplyInto packs rows in place
-// and the engine aliases contiguous runs instead of gathering.
-func fitColumnar(prep ml.Preprocessor, ds *trace.Dataset) error {
-	s, err := ml.PackDataset(prep, ds)
+// and the engine aliases contiguous runs instead of gathering. A
+// deterministic 25% validation tail exercises the evaluation path too.
+func fitColumnar(prep ml.Preprocessor, st *trace.Store) error {
+	s, err := ml.PackDataset(prep, st.All())
 	if err != nil {
 		return err
 	}
-	model, err := ml.PaperNet(7, s.Size(), ds.NumClasses, 4, 6, 0.2)
+	model, err := ml.PaperNet(7, s.Size(), st.NumClasses(), 4, 6, 0.2)
 	if err != nil {
 		return err
 	}
-	cut := benchValSplit(s.Len())
+	cut := s.Len() - s.Len()/4
 	return model.Fit(s.X[:cut], s.Y[:cut], s.X[cut:], s.Y[cut:], benchFitConfig)
 }
 
-// benchmarkColdCollectFit is one uncached CollectDataset→Fit pass: the
-// storage swap alone, simulation cost included (and identical).
-func benchmarkColdCollectFit(b *testing.B, columnar bool) {
+// benchmarkColdCollectFit is one uncached CollectDataset→Fit pass,
+// simulation cost included.
+func benchmarkColdCollectFit(b *testing.B) {
 	scn := benchFitScenario("bench/collect-fit")
 	sc := benchFitScale
 	sc.Parallelism = runtime.NumCPU()
@@ -114,46 +55,25 @@ func benchmarkColdCollectFit(b *testing.B, columnar bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if columnar {
-			ds, _, err := collectDataset(scn, sc, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			resident = ds.Store().ResidentBytes()
-			if err := fitColumnar(benchFitPrep, ds); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			ds, err := collectRowDataset(scn, sc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			resident = rowResidentBytes(ds)
-			if err := fitRow(benchFitPrep, ds); err != nil {
-				b.Fatal(err)
-			}
+		st, _, err := collectDataset(scn, sc, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resident = st.ResidentBytes()
+		if err := fitColumnar(benchFitPrep, st); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(resident), "resident-bytes")
 	b.ReportMetric(float64(datasetJobCount(sc)), "traces")
 }
 
-func rowResidentBytes(ds *trace.Dataset) int64 {
-	var b int64
-	for _, tr := range ds.Traces {
-		b += int64(cap(tr.Values))*8 + 64
-	}
-	return b
-}
-
 // benchmarkBudgetCollectFit is the experiment grid's steady state under a
 // resident-byte budget that holds only one of three datasets: the grid
-// cycles through its (scenario, scale) cells, fitting on each. The seed-era
-// cache can only evict — every revisit re-simulates the whole dataset. The
-// columnar cache demotes cold entries to mmap-backed shard files and serves
-// revisits from the mapping, so steady state pays pack+fit, not simulation.
-// This is the headline number: what the disk tier buys end to end.
-func benchmarkBudgetCollectFit(b *testing.B, columnar bool) {
+// cycles through its (scenario, scale) cells, fitting on each. The cache
+// demotes cold entries to mmap-backed shard files and serves revisits from
+// the mapping, so steady state pays pack+fit, not simulation.
+func benchmarkBudgetCollectFit(b *testing.B) {
 	sc := benchFitScale
 	sc.Parallelism = runtime.NumCPU()
 	scns := []Scenario{
@@ -162,30 +82,19 @@ func benchmarkBudgetCollectFit(b *testing.B, columnar bool) {
 		benchFitScenario("bench/grid-c"),
 	}
 	cache := newDatasetCache(8)
-	if columnar {
-		cache.spillDir = b.TempDir()
-	}
-	collect := func(scn Scenario) (*trace.Dataset, error) {
-		if columnar {
-			ds, _, err := collectDataset(scn, sc, nil, nil)
-			return ds, err
-		}
-		return collectRowDataset(scn, sc)
-	}
+	cache.spillDir = b.TempDir()
 	visit := func(scn Scenario) error {
-		ds, err := cache.getOrCollect(datasetCacheKey(scn, sc), func() (*trace.Dataset, error) {
-			return collect(scn)
+		st, err := cache.getOrCollect(datasetCacheKey(scn, sc), func() (*trace.Store, error) {
+			st, _, err := collectDataset(scn, sc, nil, nil)
+			return st, err
 		})
 		if err != nil {
 			return err
 		}
-		if columnar {
-			return fitColumnar(benchFitPrep, ds)
-		}
-		return fitRow(benchFitPrep, ds)
+		return fitColumnar(benchFitPrep, st)
 	}
 	// Warm up: collect every dataset once, then set the budget to hold
-	// roughly one of them, forcing demotion (columnar) or eviction (row).
+	// roughly one of them, forcing demotion.
 	var resident int64
 	for _, scn := range scns {
 		if err := visit(scn); err != nil {
@@ -214,16 +123,13 @@ func benchmarkBudgetCollectFit(b *testing.B, columnar bool) {
 	b.ReportMetric(float64(len(scns)*datasetJobCount(sc)), "traces")
 }
 
-// BenchmarkCollectFit is the tentpole's acceptance benchmark:
-// CollectDataset→Fit end to end, seed-era row storage vs columnar arena.
-// The cold legs isolate the storage swap on an uncached collection; the
-// budget legs measure the grid's steady state under memory pressure, where
-// the mmap-backed second cache tier replaces re-simulation.
+// BenchmarkCollectFit is CollectDataset→Fit end to end. The cold leg is an
+// uncached collection; the budget leg measures the grid's steady state
+// under memory pressure, where the mmap-backed second cache tier replaces
+// re-simulation.
 func BenchmarkCollectFit(b *testing.B) {
-	b.Run("cold-row", func(b *testing.B) { benchmarkColdCollectFit(b, false) })
-	b.Run("cold-columnar", func(b *testing.B) { benchmarkColdCollectFit(b, true) })
-	b.Run("budget-row", func(b *testing.B) { benchmarkBudgetCollectFit(b, false) })
-	b.Run("budget-columnar", func(b *testing.B) { benchmarkBudgetCollectFit(b, true) })
+	b.Run("cold-columnar", benchmarkColdCollectFit)
+	b.Run("budget-columnar", benchmarkBudgetCollectFit)
 }
 
 // BenchmarkCollectSpill measures the bounded-window disk path against the
@@ -239,11 +145,10 @@ func BenchmarkCollectSpill(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan := &spillPlan{path: fmt.Sprintf("%s/b%d.trst", dir, i), windowRows: 8}
-		ds, _, err := collectDataset(scn, sc, nil, plan)
+		st, _, err := collectDataset(scn, sc, nil, plan)
 		if err != nil {
 			b.Fatal(err)
 		}
-		st := ds.Store()
 		resident, total = st.ResidentBytes(), st.ValueBytes()
 	}
 	b.ReportMetric(float64(resident), "resident-bytes")

@@ -284,12 +284,12 @@ func runExperimentCell(spec CellSpec) (CellResult, error) {
 	sp := obs.StartSpan(nil, "cell")
 	sp.SetAttr("scenario", scn.Name)
 	defer sp.End()
-	ds, info, err := collectDatasetInfo(sp, scn, spec.Scale)
+	st, info, err := collectDatasetInfo(sp, scn, spec.Scale)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		return CellResult{}, err
 	}
-	res, evalBusy, err := evaluateInfo(sp, ds, spec.Scale, mk, scn.Name)
+	res, evalBusy, err := evaluateInfo(sp, st, spec.Scale, mk, scn.Name)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		return CellResult{}, err
@@ -299,8 +299,8 @@ func runExperimentCell(spec CellSpec) (CellResult, error) {
 		Scenario:       scn.Name,
 		WallMS:         float64(time.Since(t0).Nanoseconds()) / 1e6,
 		CPUMS:          float64(info.busyNS+evalBusy) / 1e6,
-		Traces:         len(ds.Traces),
-		TrimmedSamples: ds.TrimmedSamples,
+		Traces:         st.Len(),
+		TrimmedSamples: st.TrimmedSamples(),
 		Cached:         info.cached,
 		Folds:          spec.Scale.Folds,
 		Top1Mean:       res.Top1.Mean,

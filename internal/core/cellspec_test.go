@@ -97,17 +97,17 @@ func TestParseCellSpecRejects(t *testing.T) {
 
 func TestParseTimerSpecErrors(t *testing.T) {
 	bad := []string{
-		"quantized",      // missing Δ
-		"quantized:",     // empty Δ
-		"quantized:0",    // non-positive Δ
-		"quantized:-5",   // negative Δ
-		"quantized:abc",  // non-numeric Δ
-		"jittered",       // missing Δ
-		"jittered:zzz",   // non-numeric Δ
-		"randomized:5",   // argless timer with argument
-		"precise:1",      // argless timer with argument
-		"python:2",       // argless timer with argument
-		"hourglass",      // unknown timer
+		"quantized",     // missing Δ
+		"quantized:",    // empty Δ
+		"quantized:0",   // non-positive Δ
+		"quantized:-5",  // negative Δ
+		"quantized:abc", // non-numeric Δ
+		"jittered",      // missing Δ
+		"jittered:zzz",  // non-numeric Δ
+		"randomized:5",  // argless timer with argument
+		"precise:1",     // argless timer with argument
+		"python:2",      // argless timer with argument
+		"hourglass",     // unknown timer
 	}
 	for _, spec := range bad {
 		if _, err := parseTimerSpec(spec); err == nil {

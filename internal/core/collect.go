@@ -176,24 +176,19 @@ type rowSink interface {
 // exit after their current job. newRun is called once per worker so each
 // worker can own private per-worker state (a machine arena); every job
 // additionally holds a global compute slot, so concurrently running
-// experiment cells share one CPU budget. With a non-nil sink, each job
-// records into sink.Row(j.slot) and publishes via sink.Finish (zero
-// per-trace allocation; the returned slice is nil); otherwise results come
-// back as a slice indexed by slot. Alongside the traces it returns the
-// total slot-held (compute) time in nanoseconds, and records a sampled
-// "trace" span per traceSpanSample-th job under parent. The returned error
-// wraps the failing job's scenario, domain, and visit so a bad simulation is
-// traceable without rerunning the sweep.
-func runCollectJobs(scenario string, jobs []collectJob, par int, parent *obs.Span, sink rowSink, newRun func() func(collectJob, []float64) (trace.Trace, error)) ([]trace.Trace, int64, error) {
+// experiment cells share one CPU budget. Each job records into
+// sink.Row(j.slot) and publishes via sink.Finish (zero per-trace
+// allocation). It returns the total slot-held (compute) time in
+// nanoseconds, and records a sampled "trace" span per traceSpanSample-th
+// job under parent. The returned error wraps the failing job's scenario,
+// domain, and visit so a bad simulation is traceable without rerunning the
+// sweep.
+func runCollectJobs(scenario string, jobs []collectJob, par int, parent *obs.Span, sink rowSink, newRun func() func(collectJob, []float64) (trace.Trace, error)) (int64, error) {
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
 	if par > len(jobs) {
 		par = len(jobs)
-	}
-	var results []trace.Trace
-	if sink == nil {
-		results = make([]trace.Trace, len(jobs))
 	}
 	var (
 		once     sync.Once
@@ -221,11 +216,7 @@ func runCollectJobs(scenario string, jobs []collectJob, par int, parent *obs.Spa
 					tsp = obs.StartSpan(parent, "trace")
 					tsp.SetAttr("domain", j.profile.Domain).SetAttr("visit", j.visit)
 				}
-				var dst []float64
-				if sink != nil {
-					dst = sink.Row(j.slot)
-				}
-				tr, err := run(j, dst)
+				tr, err := run(j, sink.Row(j.slot))
 				busyNS.Add(releaseSlot(t0))
 				tsp.End()
 				if err != nil {
@@ -233,11 +224,7 @@ func runCollectJobs(scenario string, jobs []collectJob, par int, parent *obs.Spa
 						scenario, j.profile.Domain, j.visit, err))
 					return
 				}
-				if sink != nil {
-					sink.Finish(j.slot, tr)
-				} else {
-					results[j.slot] = tr
-				}
+				sink.Finish(j.slot, tr)
 			}
 		}()
 	}
@@ -251,10 +238,7 @@ produce:
 	}
 	close(ch)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, busyNS.Load(), firstErr
-	}
-	return results, busyNS.Load(), nil
+	return busyNS.Load(), firstErr
 }
 
 // CollectDataset builds the full labeled dataset for a scenario at the
@@ -264,19 +248,18 @@ produce:
 //
 // Datasets are memoized in a content-addressed in-process cache keyed by the
 // scenario's observable behavior and the scale, so experiment grids that
-// revisit the same (scenario, scale) point simulate it once. The returned
-// Dataset and its trace slice are private to the caller; the sample arrays
-// are shared with the cache and must be treated as read-only (the ML
-// preprocessing pipeline copies values before mutating them).
-func CollectDataset(scn Scenario, sc Scale) (*trace.Dataset, error) {
+// revisit the same (scenario, scale) point simulate it once. Callers share
+// the cached store, which is sealed: it never changes, even when the cache
+// later demotes its entry to disk.
+func CollectDataset(scn Scenario, sc Scale) (*trace.Store, error) {
 	return collectDatasetSpanned(nil, scn, sc)
 }
 
 // collectDatasetSpanned is CollectDataset under an optional parent span
 // (a "cell" span from RunExperiment).
-func collectDatasetSpanned(parent *obs.Span, scn Scenario, sc Scale) (*trace.Dataset, error) {
-	ds, _, err := collectDatasetInfo(parent, scn, sc)
-	return ds, err
+func collectDatasetSpanned(parent *obs.Span, scn Scenario, sc Scale) (*trace.Store, error) {
+	st, _, err := collectDatasetInfo(parent, scn, sc)
+	return st, err
 }
 
 // collectInfo carries the collection facts a manifest cell row needs
@@ -293,7 +276,7 @@ type collectInfo struct {
 // cache, and slot-held compute time — and the same facts are returned so
 // cell runners can build manifest rows without re-deriving them from
 // spans.
-func collectDatasetInfo(parent *obs.Span, scn Scenario, sc Scale) (*trace.Dataset, collectInfo, error) {
+func collectDatasetInfo(parent *obs.Span, scn Scenario, sc Scale) (*trace.Store, collectInfo, error) {
 	var info collectInfo
 	if err := sc.Validate(); err != nil {
 		return nil, info, err
@@ -306,11 +289,11 @@ func collectDatasetInfo(parent *obs.Span, scn Scenario, sc Scale) (*trace.Datase
 	ran := false
 	var busy int64
 	key := datasetCacheKey(scn, sc)
-	ds, err := dsCache.getOrCollect(key, func() (*trace.Dataset, error) {
+	st, err := dsCache.getOrCollect(key, func() (*trace.Store, error) {
 		ran = true
-		d, b, err := collectDataset(scn, sc, sp, dsCache.planSpill(key, datasetJobCount(sc), scn.traceCapacity()))
+		st, b, err := collectDataset(scn, sc, sp, dsCache.planSpill(key, datasetJobCount(sc), scn.traceCapacity()))
 		busy = b
-		return d, err
+		return st, err
 	})
 	if err != nil {
 		sp.SetAttr("error", err.Error())
@@ -319,12 +302,10 @@ func collectDatasetInfo(parent *obs.Span, scn Scenario, sc Scale) (*trace.Datase
 	}
 	info.cached = !ran
 	info.busyNS = busy
-	sp.SetAttr("cached", !ran).SetAttr("traces", len(ds.Traces)).
-		SetAttr("trimmed_samples", ds.TrimmedSamples).SetAttr("busy_ns", busy)
+	sp.SetAttr("cached", !ran).SetAttr("traces", st.Len()).
+		SetAttr("trimmed_samples", st.TrimmedSamples()).SetAttr("busy_ns", busy)
 	sp.End()
-	out := *ds
-	out.Traces = append([]trace.Trace(nil), ds.Traces...)
-	return &out, info, nil
+	return st, info, nil
 }
 
 // datasetJobCount returns how many traces CollectDataset will simulate for
@@ -362,7 +343,7 @@ func datasetJobs(sc Scale) []collectJob {
 // stream, seeds, and trace bytes are identical either way. It reports the
 // total slot-held compute time alongside the dataset; parent (may be nil)
 // is the span sampled per-trace spans attach to.
-func collectDataset(scn Scenario, sc Scale, parent *obs.Span, plan *spillPlan) (*trace.Dataset, int64, error) {
+func collectDataset(scn Scenario, sc Scale, parent *obs.Span, plan *spillPlan) (*trace.Store, int64, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -398,7 +379,7 @@ func collectDataset(scn Scenario, sc Scale, parent *obs.Span, plan *spillPlan) (
 			if err := sb.Advance(lo, hi); err != nil {
 				return nil, busy, fmt.Errorf("core: collect %q: spill: %w", scn.Name, err)
 			}
-			_, b, err := runCollectJobs(scn.Name, jobs[lo:hi], sc.Parallelism, parent, sb, newRun)
+			b, err := runCollectJobs(scn.Name, jobs[lo:hi], sc.Parallelism, parent, sb, newRun)
 			busy += b
 			if err != nil {
 				return nil, busy, err
@@ -413,7 +394,7 @@ func collectDataset(scn Scenario, sc Scale, parent *obs.Span, plan *spillPlan) (
 		}
 	} else {
 		b := trace.NewBuilder(len(jobs), stride)
-		_, busyNS, err := runCollectJobs(scn.Name, jobs, sc.Parallelism, parent, b, newRun)
+		busyNS, err := runCollectJobs(scn.Name, jobs, sc.Parallelism, parent, b, newRun)
 		busy = busyNS
 		if err != nil {
 			return nil, busy, err
@@ -427,18 +408,14 @@ func collectDataset(scn Scenario, sc Scale, parent *obs.Span, plan *spillPlan) (
 		}
 	}
 
-	ds := st.Dataset()
-	cTrimmed.Add(int64(ds.TrimmedSamples))
+	trimmed := st.TrimmedSamples()
+	cTrimmed.Add(int64(trimmed))
 	// Heavy trimming means the shortest trace diverged from the rest and
 	// the whole dataset was cut down to it — worth a warning, since it
 	// quietly discards signal from every other trace.
-	if total := st.Len()*st.TraceLen() + ds.TrimmedSamples; ds.TrimmedSamples*100 > total {
+	if total := st.Len()*st.TraceLen() + trimmed; trimmed*100 > total {
 		obs.Warnf("collect %q: trimmed %d of %d samples (%.1f%%) equalizing trace lengths",
-			scn.Name, ds.TrimmedSamples, total,
-			100*float64(ds.TrimmedSamples)/float64(total))
+			scn.Name, trimmed, total, 100*float64(trimmed)/float64(total))
 	}
-	if err := ds.Validate(); err != nil {
-		return nil, busy, err
-	}
-	return ds, busy, nil
+	return st, busy, nil
 }

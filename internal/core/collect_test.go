@@ -34,18 +34,20 @@ func makeCollectJobs(n int) []collectJob {
 
 func TestRunCollectJobsSuccess(t *testing.T) {
 	jobs := makeCollectJobs(20)
-	results, _, err := runCollectJobs("ok", jobs, 4, nil, nil, sharedRun(func(j collectJob) (trace.Trace, error) {
+	b := trace.NewBuilder(len(jobs), 1)
+	_, err := runCollectJobs("ok", jobs, 4, nil, b, sharedRun(func(j collectJob) (trace.Trace, error) {
 		return trace.Trace{Label: j.label, Domain: j.profile.Domain, Values: []float64{float64(j.slot)}}, nil
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(jobs) {
-		t.Fatalf("got %d results, want %d", len(results), len(jobs))
+	st, err := b.Seal(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range results {
-		if len(r.Values) != 1 || r.Values[0] != float64(i) {
-			t.Fatalf("slot %d holds wrong trace: %+v", i, r)
+	for i := 0; i < st.Len(); i++ {
+		if v := st.Values(i); len(v) != 1 || v[0] != float64(i) || st.Label(i) != jobs[i].label {
+			t.Fatalf("slot %d holds wrong trace: %v label %d", i, v, st.Label(i))
 		}
 	}
 }
@@ -54,7 +56,7 @@ func TestRunCollectJobsFailFast(t *testing.T) {
 	jobs := makeCollectJobs(200)
 	boom := errors.New("simulated machine wedged")
 	var calls atomic.Int64
-	_, _, err := runCollectJobs("broken-scn", jobs, 4, nil, nil, sharedRun(func(j collectJob) (trace.Trace, error) {
+	_, err := runCollectJobs("broken-scn", jobs, 4, nil, trace.NewBuilder(len(jobs), 1), sharedRun(func(j collectJob) (trace.Trace, error) {
 		calls.Add(1)
 		if j.slot == 0 {
 			return trace.Trace{}, boom
@@ -84,7 +86,7 @@ func TestRunCollectJobsFirstErrorWins(t *testing.T) {
 	// Every job fails; the reported error must be one of the jobs' errors,
 	// fully wrapped, and the run must terminate.
 	jobs := makeCollectJobs(50)
-	_, _, err := runCollectJobs("all-fail", jobs, 8, nil, nil, sharedRun(func(j collectJob) (trace.Trace, error) {
+	_, err := runCollectJobs("all-fail", jobs, 8, nil, trace.NewBuilder(len(jobs), 1), sharedRun(func(j collectJob) (trace.Trace, error) {
 		return trace.Trace{}, errors.New("nope")
 	}))
 	if err == nil || !strings.Contains(err.Error(), "all-fail") {

@@ -105,11 +105,8 @@ func TestCollectDatasetShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Len() != 16 || ds.NumClasses != 4 {
-		t.Fatalf("dataset: %d traces, %d classes", ds.Len(), ds.NumClasses)
-	}
-	if err := ds.Validate(); err != nil {
-		t.Fatal(err)
+	if ds.Len() != 16 || ds.NumClasses() != 4 {
+		t.Fatalf("dataset: %d traces, %d classes", ds.Len(), ds.NumClasses())
 	}
 }
 
@@ -120,12 +117,12 @@ func TestCollectDatasetOpenWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Len() != 22 || ds.NumClasses != 5 {
-		t.Fatalf("dataset: %d traces, %d classes", ds.Len(), ds.NumClasses)
+	if ds.Len() != 22 || ds.NumClasses() != 5 {
+		t.Fatalf("dataset: %d traces, %d classes", ds.Len(), ds.NumClasses())
 	}
 	ns := 0
-	for _, tr := range ds.Traces {
-		if tr.Label == sc.NonSensitiveLabel() {
+	for i := 0; i < ds.Len(); i++ {
+		if ds.Label(i) == sc.NonSensitiveLabel() {
 			ns++
 		}
 	}

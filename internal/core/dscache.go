@@ -41,8 +41,8 @@ type datasetCache struct {
 }
 
 type dsEntry struct {
-	ready chan struct{} // closed when ds/err are set
-	ds    *trace.Dataset
+	ready chan struct{} // closed when st/err are set
+	st    *trace.Store
 	err   error
 }
 
@@ -136,20 +136,12 @@ func (c *datasetCache) touchLocked(key uint64) {
 	c.order = append(c.order, key)
 }
 
-// entryBytes returns the resident bytes a finished entry pins: its store's
-// accounting when columnar, or a row-oriented estimate.
+// entryBytes returns the resident bytes a finished entry's store pins.
 func entryBytes(e *dsEntry) int64 {
-	if e.ds == nil {
+	if e.st == nil {
 		return 0
 	}
-	if st := e.ds.Store(); st != nil {
-		return st.ResidentBytes()
-	}
-	var b int64
-	for i := range e.ds.Traces {
-		b += int64(cap(e.ds.Traces[i].Values))*8 + 64
-	}
-	return b
+	return e.st.ResidentBytes()
 }
 
 // residentLocked sums resident bytes over finished entries and refreshes
@@ -169,8 +161,8 @@ func (c *datasetCache) residentLocked() int64 {
 
 // evictLocked enforces both capacity dimensions on finished entries,
 // LRU-first. The entry cap drops entries outright; the byte budget first
-// demotes heap-resident columnar entries to mmap-backed shard files (when a
-// spill directory is set) and evicts only what it cannot demote. In-flight
+// demotes heap-resident entries to mmap-backed shard files (when a spill
+// directory is set) and evicts only what it cannot demote. In-flight
 // entries are never touched: their waiters hold the entry pointer and
 // eviction would let a duplicate collection start.
 func (c *datasetCache) evictLocked() {
@@ -210,30 +202,27 @@ func (c *datasetCache) evictLocked() {
 	if c.budget > 0 {
 		for c.residentLocked() > c.budget {
 			acted := false
-			// Demote the coldest heap-resident columnar entry first.
+			// Demote the coldest heap-resident entry first.
 			for _, k := range c.order {
 				e := c.entries[k]
-				if !finished(e) || e.ds == nil {
-					continue
-				}
-				st := e.ds.Store()
-				if st == nil || st.Spilled() {
+				if !finished(e) || e.st == nil || e.st.Spilled() {
 					continue
 				}
 				path := c.shardPath(k)
 				if path == "" {
 					continue
 				}
-				before := st.ResidentBytes()
-				if err := st.Spill(path); err != nil || !st.Spilled() {
+				before := e.st.ResidentBytes()
+				sp, err := e.st.Spill(path)
+				if err != nil || !sp.Spilled() {
 					if err != nil {
 						obs.Warnf("core: dataset spill %s: %v", path, err)
 					}
 					continue
 				}
-				// The cached dataset's traces alias the old heap block;
-				// rebuild them over the mapping so the heap can be freed.
-				e.ds = st.Dataset()
+				// Callers already holding the heap store keep reading it;
+				// the heap block is freed once the last of them lets go.
+				e.st = sp
 				cDSSpills.Inc()
 				obs.Eventf("dscache_spill", "core: dataset cache spilled %d bytes to %s", before, path)
 				acted = true
@@ -264,7 +253,7 @@ func (c *datasetCache) evictLocked() {
 // Before collecting, the disk tier is consulted: a content-addressed shard
 // file left by an earlier spill (or an earlier process) is mmap'd back
 // instead of re-simulating. Failed collections are not cached.
-func (c *datasetCache) getOrCollect(key uint64, collect func() (*trace.Dataset, error)) (*trace.Dataset, error) {
+func (c *datasetCache) getOrCollect(key uint64, collect func() (*trace.Store, error)) (*trace.Store, error) {
 	c.mu.Lock()
 	if c.cap <= 0 {
 		c.mu.Unlock()
@@ -276,12 +265,12 @@ func (c *datasetCache) getOrCollect(key uint64, collect func() (*trace.Dataset, 
 		c.mu.Unlock()
 		cDSHits.Inc()
 		<-e.ready
-		// Re-read under the lock: a concurrent demotion may swap e.ds for
-		// its mmap-backed rebuild.
+		// Re-read under the lock: a concurrent demotion may swap e.st for
+		// its mmap-backed copy.
 		c.mu.Lock()
-		ds, err := e.ds, e.err
+		st, err := e.st, e.err
 		c.mu.Unlock()
-		return ds, err
+		return st, err
 	}
 	e := &dsEntry{ready: make(chan struct{})}
 	c.entries[key] = e
@@ -291,25 +280,25 @@ func (c *datasetCache) getOrCollect(key uint64, collect func() (*trace.Dataset, 
 	c.mu.Unlock()
 
 	var (
-		ds  *trace.Dataset
+		st  *trace.Store
 		err error
 	)
 	if path != "" {
-		if st, oerr := trace.OpenShardFile(path); oerr == nil {
-			ds = st.Dataset()
+		var oerr error
+		if st, oerr = trace.OpenShardFile(path); oerr == nil {
 			cDSDiskHits.Inc()
-			obs.Eventf("dscache_disk_hit", "core: dataset cache loaded %s (%d traces) from disk", path, ds.Len())
+			obs.Eventf("dscache_disk_hit", "core: dataset cache loaded %s (%d traces) from disk", path, st.Len())
 		} else if !os.IsNotExist(oerr) {
 			obs.Warnf("core: dataset shard %s: %v", path, oerr)
 		}
 	}
-	if ds == nil {
+	if st == nil {
 		cDSMisses.Inc()
-		ds, err = collect()
+		st, err = collect()
 	}
 
 	c.mu.Lock()
-	e.ds, e.err = ds, err
+	e.st, e.err = st, err
 	c.mu.Unlock()
 	close(e.ready)
 	c.mu.Lock()
@@ -327,7 +316,7 @@ func (c *datasetCache) getOrCollect(key uint64, collect func() (*trace.Dataset, 
 		c.evictLocked()
 	}
 	c.mu.Unlock()
-	return ds, err
+	return st, err
 }
 
 // datasetCacheKey hashes everything that determines a collected dataset's

@@ -27,14 +27,8 @@ func TestDatasetCacheMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &ds1.Traces[0].Values[0] != &ds2.Traces[0].Values[0] {
-		t.Fatal("repeat collection did not come from the cache (sample arrays differ)")
-	}
-	// Each caller gets a private trace slice: relabeling one result must not
-	// corrupt the other.
-	ds1.Traces[0].Label = 999
-	if ds2.Traces[0].Label == 999 {
-		t.Fatal("caller mutation leaked into the cached dataset")
+	if ds1 != ds2 {
+		t.Fatal("repeat collection did not come from the cache (stores differ)")
 	}
 }
 
@@ -86,11 +80,11 @@ func TestDatasetCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = cache.getOrCollect(1, func() (*trace.Dataset, error) {
+			_, _ = cache.getOrCollect(1, func() (*trace.Store, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()
-				return &trace.Dataset{}, nil
+				return &trace.Store{}, nil
 			})
 		}()
 	}
@@ -104,9 +98,9 @@ func TestDatasetCacheEviction(t *testing.T) {
 	cache := newDatasetCache(2)
 	collected := 0
 	get := func(key uint64) {
-		_, _ = cache.getOrCollect(key, func() (*trace.Dataset, error) {
+		_, _ = cache.getOrCollect(key, func() (*trace.Store, error) {
 			collected++
-			return &trace.Dataset{}, nil
+			return &trace.Store{}, nil
 		})
 	}
 	get(1)

@@ -136,13 +136,13 @@ func (r Result) String() string {
 // accuracy, following §4.1's methodology. With a nil maker, closed-world
 // datasets use DefaultClassifier and open-world ones its threshold-reject
 // variant (ml.OpenWorldCentroid).
-func Evaluate(ds *trace.Dataset, sc Scale, mk ClassifierMaker, name string) (Result, error) {
-	return evaluateSpanned(nil, ds, sc, mk, name)
+func Evaluate(st *trace.Store, sc Scale, mk ClassifierMaker, name string) (Result, error) {
+	return evaluateSpanned(nil, st, sc, mk, name)
 }
 
 // evaluateSpanned is Evaluate under an optional parent span.
-func evaluateSpanned(parent *obs.Span, ds *trace.Dataset, sc Scale, mk ClassifierMaker, name string) (Result, error) {
-	res, _, err := evaluateInfo(parent, ds, sc, mk, name)
+func evaluateSpanned(parent *obs.Span, st *trace.Store, sc Scale, mk ClassifierMaker, name string) (Result, error) {
+	res, _, err := evaluateInfo(parent, st, sc, mk, name)
 	return res, err
 }
 
@@ -151,12 +151,13 @@ func evaluateSpanned(parent *obs.Span, ds *trace.Dataset, sc Scale, mk Classifie
 // records a child "fold" span. The slot-held time is also returned so
 // cell runners can build manifest rows without re-deriving them from
 // spans.
-func evaluateInfo(parent *obs.Span, ds *trace.Dataset, sc Scale, mk ClassifierMaker, name string) (Result, int64, error) {
+func evaluateInfo(parent *obs.Span, st *trace.Store, sc Scale, mk ClassifierMaker, name string) (Result, int64, error) {
 	if mk == nil {
 		mk = defaultClassifierOverride
 	}
+	openWorld := st.NumClasses() == sc.Sites+1
 	if mk == nil {
-		if ds.NumClasses == sc.Sites+1 {
+		if openWorld {
 			ns := sc.NonSensitiveLabel()
 			mk = func(uint64) ml.Classifier {
 				return &ml.OpenWorldCentroid{Prep: ml.DefaultPreprocessor, NSLabel: ns}
@@ -165,7 +166,7 @@ func evaluateInfo(parent *obs.Span, ds *trace.Dataset, sc Scale, mk ClassifierMa
 			mk = DefaultClassifier
 		}
 	}
-	folds, err := ds.KFold(sc.Folds, sc.Seed)
+	folds, err := st.KFold(sc.Folds, sc.Seed)
 	if err != nil {
 		return Result{}, 0, err
 	}
@@ -174,7 +175,6 @@ func evaluateInfo(parent *obs.Span, ds *trace.Dataset, sc Scale, mk ClassifierMa
 	defer sp.End()
 	var busyNS atomic.Int64
 	nsLabel := sc.NonSensitiveLabel()
-	openWorld := ds.NumClasses == sc.Sites+1
 
 	// Folds are independent train/test runs, so they execute concurrently;
 	// all metric merging below stays in fold order, making the result
@@ -208,7 +208,7 @@ func evaluateInfo(parent *obs.Span, ds *trace.Dataset, sc Scale, mk ClassifierMa
 				clf := mk(sc.Seed + uint64(fi))
 				fsp.SetAttr("fold", fi).SetAttr("classifier", clf.Name()).
 					SetAttr("test_size", len(fold.Test))
-				if err := clf.Fit(ds.Subset(fold.Train)); err != nil {
+				if err := clf.Fit(st.View(fold.Train)); err != nil {
 					outs[fi].err = fmt.Errorf("fold %d: %w", fi, err)
 					busyNS.Add(releaseSlot(t0))
 					fsp.SetAttr("error", err.Error())
@@ -217,19 +217,19 @@ func evaluateInfo(parent *obs.Span, ds *trace.Dataset, sc Scale, mk ClassifierMa
 				}
 				labels := make([]int, len(fold.Test))
 				for ti, i := range fold.Test {
-					labels[ti] = ds.Traces[i].Label
+					labels[ti] = st.Label(i)
 				}
 				var scores [][]float64
 				if bs, ok := clf.(ml.BatchScorer); ok {
 					vals := make([][]float64, len(fold.Test))
 					for ti, i := range fold.Test {
-						vals[ti] = ds.Traces[i].Values
+						vals[ti] = st.Values(i)
 					}
 					scores = bs.ScoresBatch(vals)
 				} else {
 					scores = make([][]float64, len(fold.Test))
 					for ti, i := range fold.Test {
-						scores[ti] = clf.Scores(ds.Traces[i].Values)
+						scores[ti] = clf.Scores(st.Values(i))
 					}
 				}
 				outs[fi] = foldOut{scores: scores, labels: labels}
@@ -246,7 +246,7 @@ func evaluateInfo(parent *obs.Span, ds *trace.Dataset, sc Scale, mk ClassifierMa
 	wg.Wait()
 	sp.SetAttr("busy_ns", busyNS.Load())
 
-	confusion := stats.NewConfusionMatrix(ds.NumClasses)
+	confusion := stats.NewConfusionMatrix(st.NumClasses())
 	var top1s, top5s, sens, nonsens, combined []float64
 	for fi := range folds {
 		out := outs[fi]
@@ -308,12 +308,12 @@ func RunExperiment(scn Scenario, sc Scale, mk ClassifierMaker) (Result, error) {
 	sp := obs.StartSpan(nil, "cell")
 	sp.SetAttr("scenario", scn.Name)
 	defer sp.End()
-	ds, err := collectDatasetSpanned(sp, scn, sc)
+	st, err := collectDatasetSpanned(sp, scn, sc)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		return Result{}, err
 	}
-	res, err := evaluateSpanned(sp, ds, sc, mk, scn.Name)
+	res, err := evaluateSpanned(sp, st, sc, mk, scn.Name)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		return Result{}, err

@@ -20,21 +20,22 @@ import (
 // hashDataset folds every byte of a dataset that experiments depend on into
 // one FNV-64a value: class count, then per trace the domain, label, attack
 // name, period, and the exact bit pattern of every sample.
-func hashDataset(ds *trace.Dataset) uint64 {
+func hashDataset(st *trace.Store) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	put(uint64(ds.NumClasses))
-	for _, tr := range ds.Traces {
-		io.WriteString(h, tr.Domain)
-		io.WriteString(h, tr.Attack)
-		put(uint64(tr.Label))
-		put(uint64(tr.Period))
-		put(uint64(len(tr.Values)))
-		for _, v := range tr.Values {
+	put(uint64(st.NumClasses()))
+	for i := 0; i < st.Len(); i++ {
+		io.WriteString(h, st.Domain(i))
+		io.WriteString(h, st.Attack(i))
+		put(uint64(st.Label(i)))
+		put(uint64(st.Period(i)))
+		vals := st.Values(i)
+		put(uint64(len(vals)))
+		for _, v := range vals {
 			put(math.Float64bits(v))
 		}
 	}
@@ -43,9 +44,9 @@ func hashDataset(ds *trace.Dataset) uint64 {
 
 // collectDatasetForTest bypasses the in-process dataset cache so both
 // collections below genuinely re-simulate every trace.
-func collectDatasetForTest(scn Scenario, sc Scale) (*trace.Dataset, error) {
-	ds, _, err := collectDataset(scn, sc, nil, nil)
-	return ds, err
+func collectDatasetForTest(scn Scenario, sc Scale) (*trace.Store, error) {
+	st, _, err := collectDataset(scn, sc, nil, nil)
+	return st, err
 }
 
 // goldenScale is the grid's dataset size: small enough to run in seconds,

@@ -43,17 +43,14 @@ func TestCompiledReferenceEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			values := make([][]float64, len(ds.Traces))
-			for i, tr := range ds.Traces {
-				values[i] = tr.Values
-			}
+			values := rawTraces(ds)
 			clfs := map[string]ml.Classifier{
 				"logreg": &ml.LogReg{Prep: ml.DefaultPreprocessor, Seed: goldenScale.Seed},
 				"cnn-lstm": &ml.CNNLSTM{Prep: ml.DefaultPreprocessor, Seed: goldenScale.Seed,
 					Filters: 4, Hidden: 4, Epochs: 2},
 			}
 			for name, clf := range clfs {
-				if err := clf.Fit(ds); err != nil {
+				if err := clf.Fit(ds.All()); err != nil {
 					// Some golden traces are too short for the CNN at this
 					// scale (a training-time limit, identical in both
 					// inference modes); logreg trains on every dataset.

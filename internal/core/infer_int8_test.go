@@ -29,17 +29,14 @@ func TestInt8ReferenceAgreementRate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		values := make([][]float64, len(ds.Traces))
-		for i, tr := range ds.Traces {
-			values[i] = tr.Values
-		}
+		values := rawTraces(ds)
 		clfs := map[string]ml.Classifier{
 			"logreg": &ml.LogReg{Prep: ml.DefaultPreprocessor, Seed: goldenScale.Seed},
 			"cnn-lstm": &ml.CNNLSTM{Prep: ml.DefaultPreprocessor, Seed: goldenScale.Seed,
 				Filters: 4, Hidden: 4, Epochs: 2},
 		}
 		for name, clf := range clfs {
-			if err := clf.Fit(ds); err != nil {
+			if err := clf.Fit(ds.All()); err != nil {
 				// Mirrors the compiled gate: short golden traces can refuse
 				// the CNN at training time in every inference mode; logreg
 				// trains on every dataset, so the gate is never vacuous.

@@ -63,11 +63,11 @@ func BuildServingModel(scn Scenario, sc Scale, clfName string, tier ml.InferTier
 		return nil, fmt.Errorf("core: classifier %q cannot be frozen for serving (want logreg or cnn)", clfName)
 	}
 
-	ds, err := CollectDataset(scn, sc)
+	st, err := CollectDataset(scn, sc)
 	if err != nil {
 		return nil, err
 	}
-	if err := clf.Fit(ds); err != nil {
+	if err := clf.Fit(st.All()); err != nil {
 		return nil, fmt.Errorf("core: serving fit: %w", err)
 	}
 	frozen, got, err := fz.Frozen(tier)
@@ -79,16 +79,16 @@ func BuildServingModel(scn Scenario, sc Scale, clfName string, tier ml.InferTier
 		Tier:     got,
 		Prep:     fz.Preprocessor(),
 		InputLen: fz.InputLen(),
-		Classes:  ds.NumClasses,
-		Traces:   rawTraces(ds),
+		Classes:  st.NumClasses(),
+		Traces:   rawTraces(st),
 	}, nil
 }
 
-// rawTraces extracts the raw value series from a dataset.
-func rawTraces(ds *trace.Dataset) [][]float64 {
-	out := make([][]float64, ds.Len())
-	for i, t := range ds.Traces {
-		out[i] = t.Values
+// rawTraces lists every trace's raw value series, in store order.
+func rawTraces(st *trace.Store) [][]float64 {
+	out := make([][]float64, st.Len())
+	for i := range out {
+		out[i] = st.Values(i)
 	}
 	return out
 }

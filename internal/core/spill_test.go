@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/ml"
@@ -35,17 +36,13 @@ func TestGoldenSpillEquivalence(t *testing.T) {
 				path:       filepath.Join(dir, fmt.Sprintf("g%d-%d.trst", i, par)),
 				windowRows: 3, // several Advance cycles over 8 traces
 			}
-			ds, _, err := collectDataset(scn, sc, nil, plan)
+			st, _, err := collectDataset(scn, sc, nil, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if h := hashDataset(ds); h != goldenHashes[name] {
+			if h := hashDataset(st); h != goldenHashes[name] {
 				t.Fatalf("%s par=%d: spilled collection hash %#x, golden %#x",
 					name, par, h, goldenHashes[name])
-			}
-			st := ds.Store()
-			if st == nil {
-				t.Fatalf("%s: spilled dataset lost its store", name)
 			}
 			if runtime.GOOS == "linux" && !st.Spilled() {
 				t.Fatalf("%s: store not mmap-backed after windowed collection", name)
@@ -55,15 +52,16 @@ func TestGoldenSpillEquivalence(t *testing.T) {
 }
 
 // TestDatasetCacheBudgetDemotes drives the byte budget on a private cache:
-// overflowing it must demote the LRU columnar entry to a shard file (still
-// servable) rather than dropping it, and a fresh cache must reload the
-// shard from disk instead of re-collecting.
+// overflowing it must demote the LRU entry to a shard file (still
+// servable) rather than dropping it, without changing the store a caller
+// is still reading, and a fresh cache must reload the shard from disk
+// instead of re-collecting.
 func TestDatasetCacheBudgetDemotes(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("demotion keeps heap without mmap")
 	}
 	dir := t.TempDir()
-	mkDS := func(seed int) *trace.Dataset {
+	mkDS := func(seed int) *trace.Store {
 		const n, stride = 4, 64
 		b := trace.NewBuilder(n, stride)
 		for i := 0; i < n; i++ {
@@ -80,23 +78,54 @@ func TestDatasetCacheBudgetDemotes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.Dataset()
+		return st
 	}
 
 	c := newDatasetCache(4)
 	c.spillDir = dir
 	one := mkDS(1)
 	// Budget: one resident entry fits, two do not.
-	c.budget = one.Store().ResidentBytes() + one.Store().ResidentBytes()/4
+	c.budget = one.ResidentBytes() + one.ResidentBytes()/4
 
-	ds1, err := c.getOrCollect(101, func() (*trace.Dataset, error) { return mkDS(1), nil })
+	ds1, err := c.getOrCollect(101, func() (*trace.Store, error) { return mkDS(1), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	h1 := hashDataset(ds1)
 	spillsBefore := cDSSpills.Value()
-	if _, err := c.getOrCollect(102, func() (*trace.Dataset, error) { return mkDS(2), nil }); err != nil {
+
+	// Read every row of ds1 over and over while the next collection
+	// demotes its entry: the reader must see the original bytes throughout.
+	stop, firstPass := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for pass := 0; ; pass++ {
+			h := hashDataset(ds1)
+			if pass == 0 {
+				close(firstPass)
+			}
+			if h != h1 {
+				t.Errorf("live reader pass %d: hash %#x, want %#x", pass, h, h1)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-firstPass
+	_, err = c.getOrCollect(102, func() (*trace.Store, error) { return mkDS(2), nil })
+	close(stop)
+	wg.Wait()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if ds1.Spilled() || hashDataset(ds1) != h1 {
+		t.Fatal("demotion changed the store its caller holds")
 	}
 
 	c.mu.Lock()
@@ -107,8 +136,7 @@ func TestDatasetCacheBudgetDemotes(t *testing.T) {
 	if e1 == nil {
 		t.Fatal("budget overflow evicted instead of demoting (spill dir was set)")
 	}
-	st1 := e1.ds.Store()
-	if st1 == nil || !st1.Spilled() {
+	if e1.st == ds1 || !e1.st.Spilled() {
 		t.Fatal("LRU entry not demoted to an mmap-backed shard")
 	}
 	if resident > budget {
@@ -121,7 +149,7 @@ func TestDatasetCacheBudgetDemotes(t *testing.T) {
 		t.Fatalf("demoted shard file missing: %v", err)
 	}
 	// The demoted entry still serves the exact original bytes.
-	got, err := c.getOrCollect(101, func() (*trace.Dataset, error) {
+	got, err := c.getOrCollect(101, func() (*trace.Store, error) {
 		t.Fatal("demoted entry re-collected")
 		return nil, nil
 	})
@@ -137,7 +165,7 @@ func TestDatasetCacheBudgetDemotes(t *testing.T) {
 	c2 := newDatasetCache(4)
 	c2.spillDir = dir
 	hitsBefore := cDSDiskHits.Value()
-	reloaded, err := c2.getOrCollect(101, func() (*trace.Dataset, error) {
+	reloaded, err := c2.getOrCollect(101, func() (*trace.Store, error) {
 		t.Fatal("disk tier missed; re-collected")
 		return nil, nil
 	})
@@ -186,26 +214,22 @@ func TestLargeScaleSpillTraining(t *testing.T) {
 	if h := hashDataset(spilled); h != hBase {
 		t.Fatalf("spilled collection hash %#x, in-memory %#x", h, hBase)
 	}
-	st := spilled.Store()
-	if st == nil {
-		t.Fatal("spilled dataset lost its store")
-	}
 	if runtime.GOOS == "linux" {
-		if !st.Spilled() {
+		if !spilled.Spilled() {
 			t.Fatal("large-scale store not mmap-backed")
 		}
-		if st.ResidentBytes() >= st.ValueBytes() {
+		if spilled.ResidentBytes() >= spilled.ValueBytes() {
 			t.Fatalf("resident %d bytes not below value bytes %d",
-				st.ResidentBytes(), st.ValueBytes())
+				spilled.ResidentBytes(), spilled.ValueBytes())
 		}
 	}
 
-	train := func(ds *trace.Dataset) ml.Weights {
-		s, err := ml.PackDataset(ml.Preprocessor{Smooth: 3}, ds)
+	train := func(st *trace.Store) ml.Weights {
+		s, err := ml.PackDataset(ml.Preprocessor{Smooth: 3}, st.All())
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := ml.PaperNet(7, s.Size(), ds.NumClasses, 4, 6, 0.2)
+		model, err := ml.PaperNet(7, s.Size(), st.NumClasses(), 4, 6, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,18 +83,18 @@ func TestDecodeFrameErrors(t *testing.T) {
 
 func TestDecodeMsgErrors(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":                  {},
-		"unknown kind":           {'Z'},
-		"hello short":            {msgHello, 1, 0},
-		"hello name over-long":   append([]byte{msgHello, 1, 0, 0, 0, 255, 255}, make([]byte, 300)...),
-		"hello name truncated":   {msgHello, 1, 0, 0, 0, 5, 0, 'a'},
-		"ready with body":        {msgReady, 1},
-		"bye with body":          {msgBye, 1},
-		"cell short":             {msgCell, 1, 2, 3},
-		"cell count mismatch":    append(binary.LittleEndian.AppendUint32([]byte{msgCell, 1, 0, 0, 0, 0, 0, 0, 0}, 99), 'x'),
-		"result short":           {msgResult, 1},
-		"result bad ok byte":     binary.LittleEndian.AppendUint32([]byte{msgResult, 1, 0, 0, 0, 0, 0, 0, 0, 7}, 0),
-		"result count mismatch":  append(binary.LittleEndian.AppendUint32([]byte{msgResult, 1, 0, 0, 0, 0, 0, 0, 0, 1}, 5), 'x'),
+		"empty":                 {},
+		"unknown kind":          {'Z'},
+		"hello short":           {msgHello, 1, 0},
+		"hello name over-long":  append([]byte{msgHello, 1, 0, 0, 0, 255, 255}, make([]byte, 300)...),
+		"hello name truncated":  {msgHello, 1, 0, 0, 0, 5, 0, 'a'},
+		"ready with body":       {msgReady, 1},
+		"bye with body":         {msgBye, 1},
+		"cell short":            {msgCell, 1, 2, 3},
+		"cell count mismatch":   append(binary.LittleEndian.AppendUint32([]byte{msgCell, 1, 0, 0, 0, 0, 0, 0, 0}, 99), 'x'),
+		"result short":          {msgResult, 1},
+		"result bad ok byte":    binary.LittleEndian.AppendUint32([]byte{msgResult, 1, 0, 0, 0, 0, 0, 0, 0, 7}, 0),
+		"result count mismatch": append(binary.LittleEndian.AppendUint32([]byte{msgResult, 1, 0, 0, 0, 0, 0, 0, 0, 1}, 5), 'x'),
 	}
 	for name, payload := range cases {
 		if _, err := DecodeMsg(payload); err == nil {

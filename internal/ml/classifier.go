@@ -15,9 +15,12 @@ import (
 // accuracy is computed from the full vector.
 type Classifier interface {
 	Name() string
-	Fit(train *trace.Dataset) error
+	Fit(train trace.View) error
 	Scores(values []float64) []float64
 }
+
+// errEmptyTrain is what every Fit returns for a view with no traces.
+var errEmptyTrain = errors.New("trace: dataset is empty")
 
 // BatchScorer is an optional Classifier extension: score many traces in one
 // call so the implementation can parallelize across samples. Results must
@@ -100,33 +103,37 @@ type NearestCentroid struct {
 func (nc *NearestCentroid) Name() string { return "nearest-centroid" }
 
 // Fit computes per-class centroids.
-func (nc *NearestCentroid) Fit(train *trace.Dataset) error {
-	if err := train.Validate(); err != nil {
-		return err
+func (nc *NearestCentroid) Fit(train trace.View) error {
+	return nc.fit(train, train.NumClasses())
+}
+
+// fit computes centroids for classes [0, classes), skipping traces labelled
+// beyond them (the open-world non-sensitive class).
+func (nc *NearestCentroid) fit(train trace.View, classes int) error {
+	if train.Len() == 0 {
+		return errEmptyTrain
 	}
-	sums := make([][]float64, train.NumClasses)
-	counts := make([]int, train.NumClasses)
+	sums := make([][]float64, classes)
+	counts := make([]int, classes)
 	// One scratch pair serves every trace: ApplyInto reuses it in place, so
 	// the fit performs two allocations total instead of two per trace.
-	var v, tmp []float64
-	if len(train.Traces) > 0 {
-		n := nc.Prep.OutLen(len(train.Traces[0].Values))
-		v, tmp = make([]float64, n), make([]float64, n)
+	n := nc.Prep.OutLen(len(train.Values(0)))
+	v, tmp := make([]float64, n), make([]float64, n)
+	for i := 0; i < train.Len(); i++ {
+		label := train.Label(i)
+		if label >= classes {
+			continue
+		}
+		v = nc.Prep.ApplyInto(v, tmp, train.Values(i))
+		if sums[label] == nil {
+			sums[label] = make([]float64, len(v))
+		}
+		for j, x := range v {
+			sums[label][j] += x
+		}
+		counts[label]++
 	}
-	for _, t := range train.Traces {
-		v = nc.Prep.ApplyInto(v, tmp, t.Values)
-		if sums[t.Label] == nil {
-			sums[t.Label] = make([]float64, len(v))
-		}
-		if len(sums[t.Label]) != len(v) {
-			return errors.New("ml: inconsistent preprocessed lengths")
-		}
-		for i, x := range v {
-			sums[t.Label][i] += x
-		}
-		counts[t.Label]++
-	}
-	nc.centroids = make([][]float64, train.NumClasses)
+	nc.centroids = make([][]float64, classes)
 	for c := range sums {
 		if counts[c] == 0 {
 			continue // class absent from this fold; scores stay 0
@@ -168,14 +175,11 @@ type KNN struct {
 func (k *KNN) Name() string { return fmt.Sprintf("knn-%d", k.K) }
 
 // Fit memorizes the training set.
-func (k *KNN) Fit(train *trace.Dataset) error {
-	if err := train.Validate(); err != nil {
-		return err
-	}
+func (k *KNN) Fit(train trace.View) error {
 	if k.K <= 0 {
 		k.K = 5
 	}
-	k.classes = train.NumClasses
+	k.classes = train.NumClasses()
 	// The memorized features live in one columnar arena; each stored
 	// feature is a row view, so scoring walks contiguous memory.
 	s, err := PackDataset(k.Prep, train)
@@ -233,10 +237,7 @@ type LogReg struct {
 func (lr *LogReg) Name() string { return "logreg" }
 
 // Fit trains softmax regression on preprocessed traces.
-func (lr *LogReg) Fit(train *trace.Dataset) error {
-	if err := train.Validate(); err != nil {
-		return err
-	}
+func (lr *LogReg) Fit(train trace.View) error {
 	if lr.Epochs <= 0 {
 		lr.Epochs = 30
 	}
@@ -247,7 +248,7 @@ func (lr *LogReg) Fit(train *trace.Dataset) error {
 	lr.inLen = s.Size()
 	lr.cc.setCalib(calibSlice(s))
 	rng := newSeedStream(lr.Seed, "logreg")
-	lr.model = &Sequential{Layers: []Layer{NewDense(rng, lr.inLen, train.NumClasses)}}
+	lr.model = &Sequential{Layers: []Layer{NewDense(rng, lr.inLen, train.NumClasses())}}
 	return lr.model.Fit(s.X, s.Y, nil, nil, FitConfig{
 		Epochs: lr.Epochs, BatchSize: 16, LR: 0.01, Seed: lr.Seed,
 		Parallelism: lr.Parallelism,
@@ -300,10 +301,7 @@ func (c *CNNLSTM) Name() string { return "cnn-lstm" }
 
 // Fit trains the network with a 90/10 train/validation split and early
 // stopping, mirroring §4.1.
-func (c *CNNLSTM) Fit(train *trace.Dataset) error {
-	if err := train.Validate(); err != nil {
-		return err
-	}
+func (c *CNNLSTM) Fit(train trace.View) error {
 	if c.Filters <= 0 {
 		c.Filters = 16
 	}
@@ -324,7 +322,7 @@ func (c *CNNLSTM) Fit(train *trace.Dataset) error {
 		return err
 	}
 	c.inLen = s.Size()
-	model, err := PaperNet(c.Seed, c.inLen, train.NumClasses, c.Filters, c.Hidden, c.Dropout)
+	model, err := PaperNet(c.Seed, c.inLen, train.NumClasses(), c.Filters, c.Hidden, c.Dropout)
 	if err != nil {
 		return err
 	}
@@ -483,26 +481,24 @@ type SpectralCentroid struct {
 func (s *SpectralCentroid) Name() string { return "spectral-centroid" }
 
 // Fit computes per-class spectral centroids.
-func (s *SpectralCentroid) Fit(train *trace.Dataset) error {
-	if err := train.Validate(); err != nil {
-		return err
+func (s *SpectralCentroid) Fit(train trace.View) error {
+	if train.Len() == 0 {
+		return errEmptyTrain
 	}
-	sums := make([][]float64, train.NumClasses)
-	counts := make([]int, train.NumClasses)
-	for _, t := range train.Traces {
-		v := s.Prep.Apply(t.Values)
-		if sums[t.Label] == nil {
-			sums[t.Label] = make([]float64, len(v))
+	sums := make([][]float64, train.NumClasses())
+	counts := make([]int, train.NumClasses())
+	for i := 0; i < train.Len(); i++ {
+		label := train.Label(i)
+		v := s.Prep.Apply(train.Values(i))
+		if sums[label] == nil {
+			sums[label] = make([]float64, len(v))
 		}
-		if len(sums[t.Label]) != len(v) {
-			return errors.New("ml: inconsistent spectral lengths")
+		for j, x := range v {
+			sums[label][j] += x
 		}
-		for i, x := range v {
-			sums[t.Label][i] += x
-		}
-		counts[t.Label]++
+		counts[label]++
 	}
-	s.centroids = make([][]float64, train.NumClasses)
+	s.centroids = make([][]float64, train.NumClasses())
 	for c := range sums {
 		if counts[c] == 0 {
 			continue
@@ -546,7 +542,7 @@ type AlignedCentroid struct {
 func (ac *AlignedCentroid) Name() string { return "aligned-centroid" }
 
 // Fit computes per-class centroids.
-func (ac *AlignedCentroid) Fit(train *trace.Dataset) error {
+func (ac *AlignedCentroid) Fit(train trace.View) error {
 	if ac.MaxShift <= 0 {
 		ac.MaxShift = 12
 	}
@@ -613,22 +609,17 @@ type OpenWorldCentroid struct {
 func (ow *OpenWorldCentroid) Name() string { return "open-world-centroid" }
 
 // Fit trains sensitive centroids and calibrates the rejection threshold.
-func (ow *OpenWorldCentroid) Fit(train *trace.Dataset) error {
-	if err := train.Validate(); err != nil {
-		return err
+func (ow *OpenWorldCentroid) Fit(train trace.View) error {
+	if train.Len() == 0 {
+		return errEmptyTrain
 	}
-	if ow.NSLabel <= 0 || ow.NSLabel != train.NumClasses-1 {
+	if ow.NSLabel <= 0 || ow.NSLabel != train.NumClasses()-1 {
 		return fmt.Errorf("ml: OpenWorldCentroid needs NSLabel == NumClasses-1, got %d vs %d",
-			ow.NSLabel, train.NumClasses-1)
+			ow.NSLabel, train.NumClasses()-1)
 	}
-	sensitive := &trace.Dataset{NumClasses: ow.NSLabel}
-	for _, t := range train.Traces {
-		if t.Label < ow.NSLabel {
-			sensitive.Append(t)
-		}
-	}
+	// The inner centroids cover exactly the NSLabel sensitive classes.
 	ow.inner = NearestCentroid{Prep: ow.Prep}
-	if err := ow.inner.Fit(sensitive); err != nil {
+	if err := ow.inner.fit(train, ow.NSLabel); err != nil {
 		return err
 	}
 
@@ -640,12 +631,12 @@ func (ow *OpenWorldCentroid) Fit(train *trace.Dataset) error {
 		ns      bool
 	}
 	var all []obs
-	for _, t := range train.Traces {
-		s := ow.inner.Scores(t.Values)
+	for i := 0; i < train.Len(); i++ {
+		s := ow.inner.Scores(train.Values(i))
 		best := stats.ArgMax(s)
-		o := obs{score: s[best], ns: t.Label == ow.NSLabel}
+		o := obs{score: s[best], ns: train.Label(i) == ow.NSLabel}
 		if !o.ns {
-			o.correct = best == t.Label
+			o.correct = best == train.Label(i)
 		}
 		all = append(all, o)
 	}

@@ -8,11 +8,30 @@ import (
 	"repro/internal/trace"
 )
 
+// storeOf seals equal-length traces into a store of the given class count.
+func storeOf(t testing.TB, classes int, trs []trace.Trace) *trace.Store {
+	t.Helper()
+	b := trace.NewBuilder(len(trs), len(trs[0].Values))
+	for i, tr := range trs {
+		b.Finish(i, tr)
+	}
+	st, err := b.Seal(classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // synthDataset builds classes with distinct bump patterns plus noise,
 // mimicking website traces.
-func synthDataset(classes, perClass, n int, noise float64, seed uint64) *trace.Dataset {
+func synthDataset(t testing.TB, classes, perClass, n int, noise float64, seed uint64) *trace.Store {
+	return storeOf(t, classes, synthTraces(classes, perClass, n, noise, seed))
+}
+
+// synthTraces generates synthDataset's traces, class by class.
+func synthTraces(classes, perClass, n int, noise float64, seed uint64) []trace.Trace {
 	rng := sim.NewStream(seed, "synth")
-	d := &trace.Dataset{NumClasses: classes}
+	var trs []trace.Trace
 	for c := 0; c < classes; c++ {
 		// Each class dips at characteristic positions.
 		dip1 := (c*37 + 11) % n
@@ -29,32 +48,32 @@ func synthDataset(classes, perClass, n int, noise float64, seed uint64) *trace.D
 				vals[i1] -= 4000
 				vals[i2] -= 2500
 			}
-			d.Append(trace.Trace{Domain: "synth", Label: c, Values: vals})
+			trs = append(trs, trace.Trace{Domain: "synth", Label: c, Values: vals})
 		}
 	}
-	return d
+	return trs
 }
 
-func holdoutEval(t *testing.T, c Classifier, d *trace.Dataset) float64 {
+func holdoutEval(t *testing.T, c Classifier, d *trace.Store) float64 {
 	t.Helper()
 	folds, err := d.KFold(5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := folds[0]
-	if err := c.Fit(d.Subset(f.Train)); err != nil {
+	if err := c.Fit(d.View(f.Train)); err != nil {
 		t.Fatal(err)
 	}
-	cm := stats.NewConfusionMatrix(d.NumClasses)
+	cm := stats.NewConfusionMatrix(d.NumClasses())
 	for _, i := range f.Test {
-		s := c.Scores(d.Traces[i].Values)
-		cm.Add(d.Traces[i].Label, stats.ArgMax(s))
+		s := c.Scores(d.Values(i))
+		cm.Add(d.Label(i), stats.ArgMax(s))
 	}
 	return cm.Accuracy()
 }
 
 func TestNearestCentroidOnSynthetic(t *testing.T) {
-	d := synthDataset(8, 12, 200, 400, 1)
+	d := synthDataset(t, 8, 12, 200, 400, 1)
 	nc := &NearestCentroid{Prep: Preprocessor{TargetLen: 100, Smooth: 3}}
 	if acc := holdoutEval(t, nc, d); acc < 0.9 {
 		t.Fatalf("centroid accuracy = %v, want >= 0.9", acc)
@@ -65,7 +84,7 @@ func TestNearestCentroidOnSynthetic(t *testing.T) {
 }
 
 func TestKNNOnSynthetic(t *testing.T) {
-	d := synthDataset(6, 10, 150, 400, 2)
+	d := synthDataset(t, 6, 10, 150, 400, 2)
 	k := &KNN{K: 3, Prep: Preprocessor{TargetLen: 75}}
 	if acc := holdoutEval(t, k, d); acc < 0.85 {
 		t.Fatalf("knn accuracy = %v, want >= 0.85", acc)
@@ -75,7 +94,7 @@ func TestKNNOnSynthetic(t *testing.T) {
 	}
 	// Default K fills in.
 	k2 := &KNN{}
-	if err := k2.Fit(d); err != nil {
+	if err := k2.Fit(d.All()); err != nil {
 		t.Fatal(err)
 	}
 	if k2.K != 5 {
@@ -84,7 +103,7 @@ func TestKNNOnSynthetic(t *testing.T) {
 }
 
 func TestLogRegOnSynthetic(t *testing.T) {
-	d := synthDataset(5, 12, 150, 400, 3)
+	d := synthDataset(t, 5, 12, 150, 400, 3)
 	lr := &LogReg{Prep: Preprocessor{TargetLen: 60}, Epochs: 25, Seed: 7}
 	if acc := holdoutEval(t, lr, d); acc < 0.85 {
 		t.Fatalf("logreg accuracy = %v, want >= 0.85", acc)
@@ -95,7 +114,7 @@ func TestCNNLSTMOnSynthetic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cnn-lstm training is slow")
 	}
-	d := synthDataset(4, 25, 160, 400, 4)
+	d := synthDataset(t, 4, 25, 160, 400, 4)
 	c := &CNNLSTM{Prep: Preprocessor{TargetLen: 160}, Filters: 8, Hidden: 8, Dropout: 0.1, Epochs: 40, LR: 0.003, Seed: 5}
 	if acc := holdoutEval(t, c, d); acc < 0.6 {
 		t.Fatalf("cnn-lstm accuracy = %v, want >= 0.6", acc)
@@ -103,16 +122,16 @@ func TestCNNLSTMOnSynthetic(t *testing.T) {
 }
 
 func TestClassifierScoresShape(t *testing.T) {
-	d := synthDataset(4, 6, 80, 300, 6)
+	d := synthDataset(t, 4, 6, 80, 300, 6)
 	for _, c := range []Classifier{
 		&NearestCentroid{Prep: Preprocessor{TargetLen: 40}},
 		&KNN{K: 3, Prep: Preprocessor{TargetLen: 40}},
 		&LogReg{Prep: Preprocessor{TargetLen: 40}, Epochs: 3, Seed: 1},
 	} {
-		if err := c.Fit(d); err != nil {
+		if err := c.Fit(d.All()); err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		s := c.Scores(d.Traces[0].Values)
+		s := c.Scores(d.Values(0))
 		if len(s) != 4 {
 			t.Fatalf("%s: scores len %d", c.Name(), len(s))
 		}
@@ -120,13 +139,14 @@ func TestClassifierScoresShape(t *testing.T) {
 }
 
 func TestFitRejectsInvalidDataset(t *testing.T) {
-	bad := &trace.Dataset{NumClasses: 2}
+	empty := synthDataset(t, 2, 2, 16, 100, 1).View(nil)
 	for _, c := range []Classifier{
 		&NearestCentroid{}, &KNN{K: 1}, &LogReg{Epochs: 1},
-		&CNNLSTM{Epochs: 1},
+		&CNNLSTM{Epochs: 1}, &SpectralCentroid{}, &AlignedCentroid{},
+		&OpenWorldCentroid{NSLabel: 1},
 	} {
-		if err := c.Fit(bad); err == nil {
-			t.Errorf("%s accepted empty dataset", c.Name())
+		if err := c.Fit(empty); err != errEmptyTrain {
+			t.Errorf("%s: Fit on an empty view returned %v", c.Name(), err)
 		}
 	}
 }
@@ -159,13 +179,12 @@ func TestPreprocessor(t *testing.T) {
 func TestMissingClassCentroid(t *testing.T) {
 	// A fold may lack some class entirely; scoring must not panic and
 	// must never pick the absent class.
-	d := synthDataset(3, 4, 60, 300, 8)
-	d.NumClasses = 4 // class 3 absent
+	d := storeOf(t, 4, synthTraces(3, 4, 60, 300, 8)) // class 3 absent
 	nc := &NearestCentroid{Prep: Preprocessor{TargetLen: 30}}
-	if err := nc.Fit(d); err != nil {
+	if err := nc.Fit(d.All()); err != nil {
 		t.Fatal(err)
 	}
-	s := nc.Scores(d.Traces[0].Values)
+	s := nc.Scores(d.Values(0))
 	if len(s) != 4 {
 		t.Fatal("scores length")
 	}
@@ -180,7 +199,7 @@ func TestAlignedCentroidBeatsFixedOnShiftedData(t *testing.T) {
 	// Fixed-alignment centroids smear the dips away; shift-search
 	// matching recovers the pattern.
 	rng := sim.NewStream(31, "align")
-	d := &trace.Dataset{NumClasses: 6}
+	var trs []trace.Trace
 	n := 300
 	for c := 0; c < 6; c++ {
 		gap := 30 + 9*c
@@ -199,9 +218,10 @@ func TestAlignedCentroidBeatsFixedOnShiftedData(t *testing.T) {
 			}
 			carve(80 + shift)
 			carve(80 + gap + shift)
-			d.Append(trace.Trace{Domain: "align", Label: c, Values: vals})
+			trs = append(trs, trace.Trace{Domain: "align", Label: c, Values: vals})
 		}
 	}
+	d := storeOf(t, 6, trs)
 	fixed := holdoutEval(t, &NearestCentroid{Prep: Preprocessor{TargetLen: n}}, d)
 	aligned := holdoutEval(t, &AlignedCentroid{Prep: Preprocessor{TargetLen: n}, MaxShift: 24}, d)
 	if aligned <= fixed {
@@ -235,7 +255,7 @@ func TestOpenWorldCentroid(t *testing.T) {
 	// 4 sensitive classes with distinct dips + a heterogeneous NS class
 	// whose members look like none of them.
 	rng := sim.NewStream(41, "ow")
-	d := &trace.Dataset{NumClasses: 5}
+	var trs []trace.Trace
 	n := 200
 	for c := 0; c < 4; c++ {
 		dip := 20 + c*45
@@ -247,7 +267,7 @@ func TestOpenWorldCentroid(t *testing.T) {
 			for w := 0; w < 14; w++ {
 				vals[dip+w] -= 5000
 			}
-			d.Append(trace.Trace{Domain: "sens", Label: c, Values: vals})
+			trs = append(trs, trace.Trace{Domain: "sens", Label: c, Values: vals})
 		}
 	}
 	for k := 0; k < 20; k++ {
@@ -255,8 +275,9 @@ func TestOpenWorldCentroid(t *testing.T) {
 		for i := range vals {
 			vals[i] = 27000 + rng.Normal(0, 900) // unstructured
 		}
-		d.Append(trace.Trace{Domain: "open", Label: 4, Values: vals})
+		trs = append(trs, trace.Trace{Domain: "open", Label: 4, Values: vals})
 	}
+	d := storeOf(t, 5, trs)
 	ow := &OpenWorldCentroid{Prep: Preprocessor{TargetLen: 100}, NSLabel: 4}
 	acc := holdoutEval(t, ow, d)
 	if acc < 0.85 {
@@ -266,12 +287,12 @@ func TestOpenWorldCentroid(t *testing.T) {
 		t.Fatal("name")
 	}
 	// Scores shape: sensitive classes + NS threshold slot.
-	if got := len(ow.Scores(d.Traces[0].Values)); got != 5 {
+	if got := len(ow.Scores(d.Values(0))); got != 5 {
 		t.Fatalf("scores len = %d", got)
 	}
 	// Validation: NSLabel must match.
 	bad := &OpenWorldCentroid{NSLabel: 2}
-	if err := bad.Fit(d); err == nil {
+	if err := bad.Fit(d.All()); err == nil {
 		t.Fatal("bad NSLabel accepted")
 	}
 }

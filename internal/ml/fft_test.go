@@ -151,7 +151,7 @@ func TestSpectralCentroidOnSynthetic(t *testing.T) {
 	// shifts per trace: the time-domain centroid struggles, the spectral
 	// one does not.
 	rng := sim.NewStream(9, "spec")
-	d := synthSpectralDataset(rng, 4, 12, 256)
+	d := synthSpectralDataset(t, rng, 4, 12, 256)
 	sc := &SpectralCentroid{Prep: SpectralPreprocessor{TargetLen: 256}}
 	if acc := holdoutEval(t, sc, d); acc < 0.9 {
 		t.Fatalf("spectral accuracy = %v, want >= 0.9", acc)
@@ -167,8 +167,8 @@ func TestSpectralCentroidOnSynthetic(t *testing.T) {
 	}
 }
 
-func synthSpectralDataset(rng *sim.Stream, classes, perClass, n int) *trace.Dataset {
-	d := &trace.Dataset{NumClasses: classes}
+func synthSpectralDataset(t testing.TB, rng *sim.Stream, classes, perClass, n int) *trace.Store {
+	var trs []trace.Trace
 	for c := 0; c < classes; c++ {
 		freq := float64(4 + c*7)
 		for k := 0; k < perClass; k++ {
@@ -179,8 +179,8 @@ func synthSpectralDataset(rng *sim.Stream, classes, perClass, n int) *trace.Data
 					2000*math.Sin(2*math.Pi*freq*float64(i)/float64(n)+phase) +
 					rng.Normal(0, 300)
 			}
-			d.Append(trace.Trace{Domain: "spec", Label: c, Values: vals})
+			trs = append(trs, trace.Trace{Domain: "spec", Label: c, Values: vals})
 		}
 	}
-	return d
+	return storeOf(t, classes, trs)
 }

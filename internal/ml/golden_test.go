@@ -90,13 +90,14 @@ func TestTrainedWeightsGolden(t *testing.T) {
 	}
 
 	// (b) The LogReg classifier end to end (pack, fit).
-	ds := &trace.Dataset{NumClasses: 4}
+	trs := make([]trace.Trace, len(X))
 	for i, x := range X {
-		ds.Append(trace.Trace{Domain: "golden", Label: y[i], Values: x.Data})
+		trs[i] = trace.Trace{Domain: "golden", Label: y[i], Values: x.Data}
 	}
+	ds := storeOf(t, 4, trs)
 	for _, par := range []int{1, 3} {
 		lr := &LogReg{Prep: Preprocessor{TargetLen: 40, Smooth: 3}, Epochs: 6, Seed: 13, Parallelism: par}
-		if err := lr.Fit(ds); err != nil {
+		if err := lr.Fit(ds.All()); err != nil {
 			t.Fatal(err)
 		}
 		note("logreg", weightsDigest(lr.model, nil))

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/trace"
@@ -89,12 +88,6 @@ func (s *Samples) F32() []float32 {
 	return s.f32
 }
 
-// F32Row returns sample i's block of the float32 mirror.
-func (s *Samples) F32Row(i int) []float32 {
-	m := s.F32()
-	return m[i*s.size : (i+1)*s.size]
-}
-
 // packRow preprocesses values into row i with prep. The common case
 // (uniform input lengths, which collected datasets guarantee) lands the
 // result in place with zero allocations; a mismatched length is padded or
@@ -120,20 +113,17 @@ func (s *Samples) packRow(i int, prep Preprocessor, tmp, values []float64) {
 // included. Row values are bit-identical to prep.Apply on each trace
 // (the ApplyInto contract), so classifiers switching to the arena train to
 // bit-identical weights.
-func PackDataset(prep Preprocessor, train *trace.Dataset) (*Samples, error) {
+func PackDataset(prep Preprocessor, train trace.View) (*Samples, error) {
 	if train.Len() == 0 {
-		return nil, errors.New("ml: PackDataset: empty dataset")
+		return nil, errEmptyTrain
 	}
-	size := prep.OutLen(len(train.Traces[0].Values))
-	if size <= 0 {
-		return nil, errors.New("ml: PackDataset: zero-length traces")
-	}
+	size := prep.OutLen(len(train.Values(0)))
 	s := newSamples(train.Len(), size)
 	s.Y = make([]int, train.Len())
 	tmp := make([]float64, size)
-	for i := range train.Traces {
-		s.packRow(i, prep, tmp, train.Traces[i].Values)
-		s.Y[i] = train.Traces[i].Label
+	for i := range s.Y {
+		s.packRow(i, prep, tmp, train.Values(i))
+		s.Y[i] = train.Label(i)
 	}
 	return s, nil
 }

@@ -24,7 +24,6 @@ func equivSamples(n, length int) *Samples {
 // with labels carried through.
 func TestPackDatasetMatchesApply(t *testing.T) {
 	prep := Preprocessor{TargetLen: 40, Smooth: 3}
-	ds := &trace.Dataset{NumClasses: 3}
 	rowVals := func(i, n int) []float64 {
 		v := make([]float64, n)
 		for j := range v {
@@ -32,10 +31,12 @@ func TestPackDatasetMatchesApply(t *testing.T) {
 		}
 		return v
 	}
-	for i := 0; i < 9; i++ {
-		ds.Append(trace.Trace{Domain: "d", Label: i % 3, Values: rowVals(i, 130)})
+	trs := make([]trace.Trace, 9)
+	for i := range trs {
+		trs[i] = trace.Trace{Domain: "d", Label: i % 3, Values: rowVals(i, 130)}
 	}
-	s, err := PackDataset(prep, ds)
+	ds := storeOf(t, 3, trs)
+	s, err := PackDataset(prep, ds.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestPackDatasetMatchesApply(t *testing.T) {
 		t.Fatalf("arena shape %dx%d, want %dx%d", s.Len(), s.Size(), ds.Len(), prep.OutLen(130))
 	}
 	for i := 0; i < s.Len(); i++ {
-		want := prep.Apply(ds.Traces[i].Values)
+		want := prep.Apply(ds.Values(i))
 		got := s.Row(i)
 		if len(want) != len(got) {
 			t.Fatalf("row %d length %d, want %d", i, len(got), len(want))
@@ -53,8 +54,8 @@ func TestPackDatasetMatchesApply(t *testing.T) {
 				t.Fatalf("row %d elem %d: packed %v != Apply %v", i, j, got[j], want[j])
 			}
 		}
-		if s.Y[i] != ds.Traces[i].Label {
-			t.Fatalf("row %d label %d, want %d", i, s.Y[i], ds.Traces[i].Label)
+		if s.Y[i] != ds.Label(i) {
+			t.Fatalf("row %d label %d, want %d", i, s.Y[i], ds.Label(i))
 		}
 		if x := s.X[i]; x.Rows != s.Size() || x.Cols != 1 || &x.Data[0] != &s.Data[i*s.Size()] {
 			t.Fatalf("row %d header does not alias its arena row", i)

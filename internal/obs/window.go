@@ -209,8 +209,8 @@ func (c *RollingCounter) reset() {
 type RollingHistogram struct {
 	clk    rollingClock
 	bounds []float64
-	stride int            // len(bounds)+1
-	counts []atomic.Int64 // n × stride, row per epoch
+	stride int             // len(bounds)+1
+	counts []atomic.Int64  // n × stride, row per epoch
 	ns     []atomic.Int64  // per-epoch observation count
 	sums   []atomic.Uint64 // per-epoch sum, float64 bits
 }

@@ -63,14 +63,14 @@ func TestRollingCounterWritesLandInRotatedBucket(t *testing.T) {
 	// Writes with a stale cur index land in the old epoch's bucket until
 	// something rotates — the documented reader/ticker-driven contract.
 	c.Add(1)
-	clk.set(t, int64(51 * int64(time.Second)))
+	clk.set(t, int64(51*int64(time.Second)))
 	c.rotate(clk.ns)
 	c.Add(1)
-	clk.set(t, int64(53 * int64(time.Second)))
+	clk.set(t, int64(53*int64(time.Second)))
 	if got := c.Total(); got != 2 {
 		t.Fatalf("total = %d, want 2 (both epochs alive)", got)
 	}
-	clk.set(t, int64(54 * int64(time.Second)))
+	clk.set(t, int64(54*int64(time.Second)))
 	if got := c.Total(); got != 1 {
 		t.Fatalf("total = %d, want 1 (first epoch expired)", got)
 	}

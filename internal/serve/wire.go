@@ -46,7 +46,7 @@ var (
 )
 
 const (
-	reqHeaderLen  = 1 + 8 + 4 // type, id, count
+	reqHeaderLen   = 1 + 8 + 4 // type, id, count
 	respPayloadLen = 1 + 8 + 1 + 2 + 4
 )
 

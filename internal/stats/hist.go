@@ -209,24 +209,6 @@ func NormalizeMax(xs []float64) []float64 {
 	return out
 }
 
-// NormalizeMaxInto is NormalizeMax with caller-owned output; dst is grown
-// as needed (dst == xs normalizes in place). Returns the result slice.
-func NormalizeMaxInto(dst, xs []float64) []float64 {
-	if cap(dst) < len(xs) {
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
-	m := Max(xs)
-	if m == 0 {
-		copy(dst, xs)
-		return dst
-	}
-	for i, x := range xs {
-		dst[i] = x / m
-	}
-	return dst
-}
-
 // ZScore standardizes xs to zero mean, unit variance. Zero-variance input
 // returns all zeros.
 func ZScore(xs []float64) []float64 {

@@ -185,10 +185,11 @@ var nativeLE = func() bool {
 	return *(*uint16)(unsafe.Pointer(&b[0])) == 0x0102
 }()
 
-// decodeShard rebuilds a Store from a complete shard file image. With
-// alias=true (the mmap path) the returned store's value block aliases
-// data's value region when alignment and byte order allow; otherwise the
-// values are decoded into fresh heap memory.
+// decodeShard rebuilds a Store from a complete shard file image, holding
+// it to the label space a builder would (checkLabels). With alias=true (the
+// mmap path) the returned store's value block aliases data's value region
+// when alignment and byte order allow; otherwise the values are decoded
+// into fresh heap memory.
 func decodeShard(data []byte, alias bool) (*Store, error) {
 	h, err := parseShardHeader(data, int64(len(data)))
 	if err != nil {
@@ -209,6 +210,9 @@ func decodeShard(data []byte, alias bool) (*Store, error) {
 		}
 	}
 	if err := decodeShardMeta(s, data[shardValOff+valBytes:]); err != nil {
+		return nil, err
+	}
+	if err := checkLabels(s.labels, s.classes); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -294,52 +298,51 @@ func OpenShardFile(path string) (*Store, error) {
 	return s, nil
 }
 
-// Spill demotes the store's value block to an mmap-backed shard file at
-// path, freeing the heap copy. Metadata stays resident. Traces and views
-// handed out before the spill keep aliasing the old heap block (they stay
-// valid and keep that memory alive); views taken afterwards read through
-// the mapping. No-op if already spilled. If the platform has no mmap the
-// file is still written (a valid second cache tier) but the heap block is
-// kept, since dropping it would force a full re-read.
-func (s *Store) Spill(path string) error {
+// Spill returns an mmap-backed copy of the store whose value block is the
+// shard file at path, written first unless it already exists; metadata is
+// shared with s. The receiver never changes, so readers holding s keep
+// reading its heap block, which lives as long as they do. Returns s itself
+// when it is already spilled, or when the platform has no mmap (the file
+// is still written: a valid second cache tier).
+func (s *Store) Spill(path string) (*Store, error) {
 	if s.mm != nil {
-		return nil
+		return s, nil
 	}
 	if _, err := os.Stat(path); err != nil {
 		if err := s.WriteShardFile(path); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	mm, data, err := mapFile(f, fi.Size())
 	if err != nil {
-		return nil // no mmap on this platform: keep the heap block
+		return s, nil // no mmap on this platform: keep the heap block
 	}
 	re, err := decodeShard(data, true)
-	if err != nil || re.mmAliases(data) == false {
+	if err != nil || !re.mmAliases(data) {
 		// The file on disk doesn't match this store (hash collision or
 		// corruption) or the decode fell back to a copy; keep the heap.
 		mm.close()
 		if err == nil {
-			return nil
+			return s, nil
 		}
-		return fmt.Errorf("spill verify %s: %w", path, err)
+		return nil, fmt.Errorf("spill verify %s: %w", path, err)
 	}
 	if re.n != s.n || re.stride != s.stride || re.traceLen != s.traceLen {
 		mm.close()
-		return fmt.Errorf("spill verify %s: shape mismatch", path)
+		return nil, fmt.Errorf("spill verify %s: shape mismatch", path)
 	}
-	s.vals = re.vals
-	s.mm = mm
-	return nil
+	sp := *s
+	sp.vals, sp.mm = re.vals, mm
+	return &sp, nil
 }
 
 // mmAliases reports whether the store's value block lies inside data.
@@ -350,43 +353,4 @@ func (s *Store) mmAliases(data []byte) bool {
 	p := uintptr(unsafe.Pointer(&s.vals[0]))
 	lo := uintptr(unsafe.Pointer(&data[0]))
 	return p >= lo && p < lo+uintptr(len(data))
-}
-
-// ReadStoreAny decodes either serialization the repo has ever produced:
-// version-1 shard files (by magic) or the seed-era gob Dataset stream. Gob
-// datasets are packed into a columnar store, so both formats land behind
-// one API.
-func ReadStoreAny(r io.Reader) (*Store, error) {
-	var magic [4]byte
-	n, err := io.ReadFull(r, magic[:])
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return nil, err
-	}
-	rest := io.MultiReader(bytesReader(magic[:n]), r)
-	if n == 4 && binary.LittleEndian.Uint32(magic[:]) == shardMagic {
-		data, err := io.ReadAll(rest)
-		if err != nil {
-			return nil, err
-		}
-		return decodeShard(data, false)
-	}
-	ds, err := ReadGob(rest)
-	if err != nil {
-		return nil, err
-	}
-	return NewStoreFromDataset(ds)
-}
-
-// bytesReader avoids importing bytes for one call site.
-type byteSliceReader struct{ b []byte }
-
-func bytesReader(b []byte) io.Reader { return &byteSliceReader{b} }
-
-func (r *byteSliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }

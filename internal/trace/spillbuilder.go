@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-
-	"repro/internal/sim"
 )
 
 // SpillBuilder assembles a Store whose value block goes straight to disk:
@@ -29,12 +27,8 @@ type SpillBuilder struct {
 	lo, hi  int       // current window rows
 	flushed int       // rows already on disk
 
-	lens    []int
-	domains []string
-	labels  []int
-	attacks []string
-	periods []sim.Duration
-	sealed  bool
+	rowMeta
+	sealed bool
 }
 
 // NewSpillBuilder creates the shard file at path and reserves a window
@@ -54,11 +48,7 @@ func NewSpillBuilder(path string, n, stride, windowRows int) (*SpillBuilder, err
 	return &SpillBuilder{
 		f: f, path: path, n: n, stride: stride,
 		window:  make([]float64, windowRows*stride),
-		lens:    make([]int, n),
-		domains: make([]string, n),
-		labels:  make([]int, n),
-		attacks: make([]string, n),
-		periods: make([]sim.Duration, n),
+		rowMeta: newRowMeta(n),
 	}, nil
 }
 
@@ -99,8 +89,7 @@ func (b *SpillBuilder) Finish(i int, tr Trace) {
 	if i < b.lo || i >= b.hi {
 		panic(fmt.Sprintf("trace: SpillBuilder.Finish(%d) outside window [%d,%d)", i, b.lo, b.hi))
 	}
-	b.domains[i], b.labels[i], b.attacks[i], b.periods[i] = tr.Domain, tr.Label, tr.Attack, tr.Period
-	b.lens[i] = len(tr.Values)
+	b.finish(i, tr)
 	off := (i - b.lo) * b.stride
 	row := b.window[off : off+b.stride]
 	if len(tr.Values) > 0 && &tr.Values[0] != &row[0] {
@@ -133,8 +122,9 @@ func (b *SpillBuilder) flush() error {
 	return nil
 }
 
-// Seal flushes the last window, writes metadata and header, closes the
-// file, and reopens it as an mmap-backed (or read-copy fallback) Store.
+// Seal flushes the last window, checks the rows the way Builder.Seal does,
+// writes metadata and header, closes the file, and reopens it as an
+// mmap-backed (or read-copy fallback) Store.
 func (b *SpillBuilder) Seal(numClasses int) (*Store, error) {
 	if b.sealed {
 		return nil, fmt.Errorf("trace: SpillBuilder already sealed")
@@ -147,22 +137,9 @@ func (b *SpillBuilder) Seal(numClasses int) (*Store, error) {
 	if b.flushed != b.n {
 		return nil, fmt.Errorf("trace: SpillBuilder sealed with %d/%d rows flushed", b.flushed, b.n)
 	}
-	// Compute the uniform length the same way Builder does.
-	traceLen := b.lens[0]
-	trimmed := 0
-	for _, l := range b.lens {
-		if l < traceLen {
-			traceLen = l
-		}
-	}
-	if traceLen == 0 {
-		return nil, fmt.Errorf("trace: a trace produced no samples")
-	}
-	if traceLen > b.stride {
-		return nil, fmt.Errorf("trace: trace length %d exceeds builder stride %d", traceLen, b.stride)
-	}
-	for _, l := range b.lens {
-		trimmed += l - traceLen
+	traceLen, trimmed, err := b.seal(b.stride, numClasses)
+	if err != nil {
+		return nil, err
 	}
 	meta := (&Store{
 		n: b.n, domains: b.domains, attacks: b.attacks,

@@ -3,21 +3,23 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
 
-// Store is a columnar trace arena: every trace's samples live in one
-// contiguous row-major float64 block (row i at [i*stride, i*stride+traceLen)),
-// with per-trace metadata (domain, label, attack, period) in parallel flat
-// arrays. Collection writes rows in place, classifiers and the ML engine read
-// zero-copy views, and the value block can live on disk as an mmap-backed
-// shard file (see shard.go) so resident bytes are capped by a budget instead
-// of dataset size.
+// Store is a columnar trace arena and the only dataset type: every trace's
+// samples live in one contiguous row-major float64 block (row i at
+// [i*stride, i*stride+traceLen)), with per-trace metadata (domain, label,
+// attack, period) in parallel flat arrays. Collection writes rows in place,
+// classifiers fit on zero-copy Views, and the value block can live on disk
+// as an mmap-backed shard file (see shard.go) so resident bytes are capped
+// by a budget instead of dataset size.
 //
-// A sealed Store is immutable: views returned by Values, Trace, Dataset,
-// Shard, and F32 alias the arena and must not be written through. Clone a
-// trace (or copy a row) before mutating.
+// A sealed Store never changes. Values returns views of the arena that
+// must not be written through, and Spill returns a new store instead of
+// swapping this one's value block, so any number of goroutines may read a
+// store while the dataset cache demotes it to disk.
 type Store struct {
 	n        int // traces
 	stride   int // float64 slots reserved per row (>= traceLen)
@@ -27,7 +29,6 @@ type Store struct {
 
 	vals []float64 // the value block; heap-owned or an mmap view
 	mm   *mapping  // non-nil when vals aliases a mapped shard file
-	f32  []float32 // lazily materialized tightly-packed f32 mirror
 
 	domains []string
 	labels  []int
@@ -45,7 +46,8 @@ func (s *Store) TraceLen() int { return s.traceLen }
 func (s *Store) NumClasses() int { return s.classes }
 
 // TrimmedSamples returns the samples dropped aligning traces to the common
-// length (see Dataset.TrimmedSamples).
+// length: jittered timers can make trace lengths differ by a sample or
+// two. Zero when every trace agreed.
 func (s *Store) TrimmedSamples() int { return s.trimmed }
 
 // Values returns trace i's samples as a read-only view of the arena.
@@ -60,50 +62,23 @@ func (s *Store) Label(i int) int { return s.labels[i] }
 // Domain returns trace i's website domain.
 func (s *Store) Domain(i int) string { return s.domains[i] }
 
-// Trace returns a view-backed Trace whose Values alias the arena. The view
-// is copy-on-write in the Clone sense: Clone (and Owned) produce an
-// arena-independent trace; writing through Values directly is forbidden.
-func (s *Store) Trace(i int) Trace {
-	return Trace{
-		Domain: s.domains[i],
-		Label:  s.labels[i],
-		Attack: s.attacks[i],
-		Period: s.periods[i],
-		Values: s.Values(i),
-		view:   true,
-	}
-}
+// Attack returns the name of the attacker that recorded trace i.
+func (s *Store) Attack(i int) string { return s.attacks[i] }
 
-// Dataset materializes the row-oriented view: a Dataset whose traces alias
-// the arena (no sample copies) and which keeps a reference back to the
-// store. The per-trace headers are fresh, so callers may append or reorder
-// traces without affecting the store.
-func (s *Store) Dataset() *Dataset {
-	ds := &Dataset{
-		NumClasses:     s.classes,
-		TrimmedSamples: s.trimmed,
-		Traces:         make([]Trace, s.n),
-		store:          s,
-	}
-	for i := range ds.Traces {
-		ds.Traces[i] = s.Trace(i)
-	}
-	return ds
-}
+// Period returns trace i's sampling period.
+func (s *Store) Period(i int) sim.Duration { return s.periods[i] }
 
 // ValueBytes returns the size of the full value block (resident or spilled).
 func (s *Store) ValueBytes() int64 { return int64(s.n) * int64(s.stride) * 8 }
 
 // ResidentBytes estimates the heap bytes the store pins: the value block
 // when heap-owned (an mmap-backed block counts zero — the OS pages it in and
-// out under its own memory pressure), the f32 mirror if materialized, and
-// the metadata arrays.
+// out under its own memory pressure) and the metadata arrays.
 func (s *Store) ResidentBytes() int64 {
 	var b int64
 	if s.mm == nil {
 		b += int64(cap(s.vals)) * 8
 	}
-	b += int64(cap(s.f32)) * 4
 	b += int64(s.n) * 48 // labels, periods, string headers
 	for i := range s.domains {
 		b += int64(len(s.domains[i]) + len(s.attacks[i]))
@@ -114,78 +89,8 @@ func (s *Store) ResidentBytes() int64 {
 // Spilled reports whether the value block is file-backed.
 func (s *Store) Spilled() bool { return s.mm != nil }
 
-// F32 lazily materializes and returns the tightly-packed float32 mirror of
-// the value block (n × TraceLen, row-major): the input format the compiled
-// and int8 inference tiers consume, built once per store instead of
-// converted on every feed. The mirror is immutable like the arena.
-func (s *Store) F32() []float32 {
-	if s.f32 != nil {
-		return s.f32
-	}
-	out := make([]float32, s.n*s.traceLen)
-	for i := 0; i < s.n; i++ {
-		row := s.Values(i)
-		dst := out[i*s.traceLen : (i+1)*s.traceLen]
-		for j, v := range row {
-			dst[j] = float32(v)
-		}
-	}
-	s.f32 = out
-	return s.f32
-}
-
-// F32Row returns trace i's row of the f32 mirror.
-func (s *Store) F32Row(i int) []float32 {
-	m := s.F32()
-	return m[i*s.traceLen : (i+1)*s.traceLen]
-}
-
-// Shard is an immutable contiguous row range [Lo, Hi) of a store, aliasing
-// the arena without copying.
-type Shard struct {
-	st     *Store
-	lo, hi int
-}
-
-// Shard returns the [lo, hi) row range as a Shard.
-func (s *Store) Shard(lo, hi int) Shard {
-	if lo < 0 || hi > s.n || lo > hi {
-		panic(fmt.Sprintf("trace: Shard [%d,%d) out of range [0,%d)", lo, hi, s.n))
-	}
-	return Shard{st: s, lo: lo, hi: hi}
-}
-
-// Shards splits the store into ceil(n/rows) contiguous shards of at most
-// rows traces each.
-func (s *Store) Shards(rows int) []Shard {
-	if rows <= 0 {
-		rows = s.n
-	}
-	var out []Shard
-	for lo := 0; lo < s.n; lo += rows {
-		hi := lo + rows
-		if hi > s.n {
-			hi = s.n
-		}
-		out = append(out, s.Shard(lo, hi))
-	}
-	return out
-}
-
-// Len returns the shard's trace count.
-func (sh Shard) Len() int { return sh.hi - sh.lo }
-
-// Values returns shard-local trace i's samples.
-func (sh Shard) Values(i int) []float64 { return sh.st.Values(sh.lo + i) }
-
-// Label returns shard-local trace i's label.
-func (sh Shard) Label(i int) int { return sh.st.labels[sh.lo+i] }
-
-// Trace returns shard-local trace i as an arena view.
-func (sh Shard) Trace(i int) Trace { return sh.st.Trace(sh.lo + i) }
-
-// View is an immutable arbitrary row subset of a store (a fold's train
-// split, a class slice), aliasing the arena without copying.
+// View is an immutable row subset of a store (a fold's train split, or
+// every row), aliasing the arena without copying. Classifiers fit on it.
 type View struct {
 	st  *Store
 	idx []int
@@ -202,6 +107,15 @@ func (s *Store) View(idx []int) View {
 	return View{st: s, idx: idx}
 }
 
+// All returns a view of every row, in order.
+func (s *Store) All() View {
+	idx := make([]int, s.n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return View{st: s, idx: idx}
+}
+
 // Len returns the view's trace count.
 func (v View) Len() int { return len(v.idx) }
 
@@ -211,41 +125,65 @@ func (v View) Values(i int) []float64 { return v.st.Values(v.idx[i]) }
 // Label returns view-local trace i's label.
 func (v View) Label(i int) int { return v.st.labels[v.idx[i]] }
 
-// Trace returns view-local trace i as an arena view.
-func (v View) Trace(i int) Trace { return v.st.Trace(v.idx[i]) }
+// NumClasses returns the label-space size of the underlying store.
+func (v View) NumClasses() int { return v.st.classes }
 
-// Dataset materializes the view as a row-oriented Dataset aliasing the
-// arena (the analogue of Dataset.Subset, without sample copies).
-func (v View) Dataset() *Dataset {
-	ds := &Dataset{NumClasses: v.st.classes, Traces: make([]Trace, len(v.idx)), store: v.st}
-	for i, j := range v.idx {
-		ds.Traces[i] = v.st.Trace(j)
+// checkLabels enforces the label space every store holds: between one
+// class and one class per trace, and every label in [0, classes). The
+// builders and the shard decoder check it where a store is made, so
+// readers may index per-class arrays by label.
+func checkLabels(labels []int, classes int) error {
+	if classes < 1 || classes > len(labels) {
+		return fmt.Errorf("trace: class count %d outside [1,%d]", classes, len(labels))
 	}
-	return ds
+	for i, l := range labels {
+		if l < 0 || l >= classes {
+			return fmt.Errorf("trace %d: label %d out of range [0,%d)", i, l, classes)
+		}
+	}
+	return nil
 }
 
-// NewStoreFromDataset packs a row-oriented dataset into a fresh columnar
-// store (one copy). Trace lengths must already agree (Validate).
-func NewStoreFromDataset(ds *Dataset) (*Store, error) {
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	n := len(ds.Traces)
-	stride := len(ds.Traces[0].Values)
-	s := &Store{
-		n: n, stride: stride, traceLen: stride,
-		classes: ds.NumClasses, trimmed: ds.TrimmedSamples,
-		vals:    make([]float64, n*stride),
+// rowMeta is the per-trace metadata Builder and SpillBuilder record as
+// rows finish, sealed the same way by both.
+type rowMeta struct {
+	lens    []int
+	domains []string
+	labels  []int
+	attacks []string
+	periods []sim.Duration
+}
+
+func newRowMeta(n int) rowMeta {
+	return rowMeta{
+		lens:    make([]int, n),
 		domains: make([]string, n),
 		labels:  make([]int, n),
 		attacks: make([]string, n),
 		periods: make([]sim.Duration, n),
 	}
-	for i, t := range ds.Traces {
-		copy(s.vals[i*stride:(i+1)*stride], t.Values)
-		s.domains[i], s.labels[i], s.attacks[i], s.periods[i] = t.Domain, t.Label, t.Attack, t.Period
+}
+
+// finish records trace i's metadata and length.
+func (m *rowMeta) finish(i int, tr Trace) {
+	m.domains[i], m.labels[i], m.attacks[i], m.periods[i] = tr.Domain, tr.Label, tr.Attack, tr.Period
+	m.lens[i] = len(tr.Values)
+}
+
+// seal computes the uniform trace length (the minimum row length) and the
+// samples trimmed to reach it, and checks the label space.
+func (m *rowMeta) seal(stride, numClasses int) (traceLen, trimmed int, err error) {
+	traceLen = slices.Min(m.lens)
+	if traceLen == 0 {
+		return 0, 0, errors.New("trace: a trace produced no samples")
 	}
-	return s, nil
+	if traceLen > stride {
+		return 0, 0, fmt.Errorf("trace: trace length %d exceeds builder stride %d", traceLen, stride)
+	}
+	for _, l := range m.lens {
+		trimmed += l - traceLen
+	}
+	return traceLen, trimmed, checkLabels(m.labels, numClasses)
 }
 
 // Builder assembles a Store row by row. Rows are pre-reserved at a fixed
@@ -256,16 +194,11 @@ func NewStoreFromDataset(ds *Dataset) (*Store, error) {
 // timers can differ by a sample or two), the trimmed-sample count, and
 // freezes the arena.
 type Builder struct {
+	rowMeta
 	n      int
 	stride int
 	vals   []float64
-
-	lens    []int
-	domains []string
-	labels  []int
-	attacks []string
-	periods []sim.Duration
-	sealed  bool
+	sealed bool
 }
 
 // NewBuilder reserves an in-memory arena for n traces of at most stride
@@ -275,13 +208,9 @@ func NewBuilder(n, stride int) *Builder {
 		panic(fmt.Sprintf("trace: NewBuilder(%d, %d)", n, stride))
 	}
 	return &Builder{
-		n: n, stride: stride,
-		vals:    make([]float64, n*stride),
-		lens:    make([]int, n),
-		domains: make([]string, n),
-		labels:  make([]int, n),
-		attacks: make([]string, n),
-		periods: make([]sim.Duration, n),
+		rowMeta: newRowMeta(n),
+		n:       n, stride: stride,
+		vals: make([]float64, n*stride),
 	}
 }
 
@@ -301,41 +230,21 @@ func (b *Builder) Row(i int) []float64 {
 // so those samples could only matter if every trace overflowed, which Seal
 // rejects.
 func (b *Builder) Finish(i int, tr Trace) {
-	b.domains[i], b.labels[i], b.attacks[i], b.periods[i] = tr.Domain, tr.Label, tr.Attack, tr.Period
-	b.lens[i] = len(tr.Values)
+	b.finish(i, tr)
 	row := b.vals[i*b.stride : (i+1)*b.stride]
 	if len(tr.Values) > 0 && &tr.Values[0] != &row[0] {
 		copy(row, tr.Values)
 	}
 }
 
-// sealMeta computes the uniform trace length and trimmed-sample count.
-func (b *Builder) sealMeta() (traceLen, trimmed int, err error) {
-	if b.sealed {
-		return 0, 0, errors.New("trace: Builder already sealed")
-	}
-	traceLen = b.lens[0]
-	for _, l := range b.lens {
-		if l < traceLen {
-			traceLen = l
-		}
-	}
-	if traceLen == 0 {
-		return 0, 0, errors.New("trace: a trace produced no samples")
-	}
-	for _, l := range b.lens {
-		trimmed += l - traceLen
-	}
-	if traceLen > b.stride {
-		return 0, 0, fmt.Errorf("trace: trace length %d exceeds builder stride %d", traceLen, b.stride)
-	}
-	return traceLen, trimmed, nil
-}
-
 // Seal freezes the builder into an immutable Store with the given class
-// count. The builder must not be used afterwards.
+// count, which must lie in [1, n] and cover every label. The builder must
+// not be used afterwards.
 func (b *Builder) Seal(numClasses int) (*Store, error) {
-	traceLen, trimmed, err := b.sealMeta()
+	if b.sealed {
+		return nil, errors.New("trace: Builder already sealed")
+	}
+	traceLen, trimmed, err := b.seal(b.stride, numClasses)
 	if err != nil {
 		return nil, err
 	}

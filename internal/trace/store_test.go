@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -34,7 +35,7 @@ func buildStore(t *testing.T, lens []int, stride int) *Store {
 		tr.Values = row
 		b.Finish(i, tr)
 	}
-	st, err := b.Seal(3)
+	st, err := b.Seal(min(3, len(lens))) // storeTrace labels i%3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,95 +82,61 @@ func TestBuilderRejectsEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestStoreDatasetAliasesArena checks the whole-dataset view: All lists
+// every row in order, aliasing the arena without copying.
 func TestStoreDatasetAliasesArena(t *testing.T) {
-	st := buildStore(t, []int{30, 30}, 30)
-	ds := st.Dataset()
-	if ds.Len() != 2 || ds.NumClasses != 3 {
-		t.Fatalf("dataset %d traces, %d classes", ds.Len(), ds.NumClasses)
+	st := buildStore(t, []int{30, 30, 30}, 30)
+	all := st.All()
+	if all.Len() != st.Len() || all.NumClasses() != 3 {
+		t.Fatalf("All: %d rows of %d, %d classes", all.Len(), st.Len(), all.NumClasses())
 	}
-	if ds.Store() != st {
-		t.Fatal("dataset lost its store backref")
-	}
-	if &ds.Traces[1].Values[0] != &st.Values(1)[0] {
-		t.Fatal("dataset traces do not alias the arena")
-	}
-	if !ds.Traces[0].IsView() {
-		t.Fatal("arena-backed trace not marked as view")
-	}
-	// Clone must detach from the arena.
-	c := ds.Traces[0].Clone()
-	if c.IsView() || &c.Values[0] == &st.Values(0)[0] {
-		t.Fatal("Clone still aliases the arena")
-	}
-	// Owned on a view copies; on an owned trace it is a no-op.
-	o := ds.Traces[0].Owned()
-	if o.IsView() || &o.Values[0] == &st.Values(0)[0] {
-		t.Fatal("Owned still aliases the arena")
-	}
-	o2 := o.Owned()
-	if &o2.Values[0] != &o.Values[0] {
-		t.Fatal("Owned copied an already-owned trace")
+	for i := 0; i < all.Len(); i++ {
+		if &all.Values(i)[0] != &st.Values(i)[0] || all.Label(i) != st.Label(i) {
+			t.Fatalf("All row %d is not store row %d", i, i)
+		}
 	}
 }
 
-func TestNewStoreFromDatasetRoundTrip(t *testing.T) {
-	ds := &Dataset{NumClasses: 3}
-	for i := 0; i < 6; i++ {
-		ds.Append(storeTrace(i, 25))
+// TestStoreShardAndView checks that views alias their store's rows both
+// in a heap arena and in a store opened from a shard file.
+func TestStoreShardAndView(t *testing.T) {
+	heap := buildStore(t, []int{20, 20, 20, 20, 20}, 20)
+	path := filepath.Join(t.TempDir(), "view.trst")
+	if err := heap.WriteShardFile(path); err != nil {
+		t.Fatal(err)
 	}
-	st, err := NewStoreFromDataset(ds)
+	mapped, err := OpenShardFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := st.Dataset()
-	for i := range ds.Traces {
-		a, b := ds.Traces[i], back.Traces[i]
-		if a.Domain != b.Domain || a.Label != b.Label || a.Attack != b.Attack || a.Period != b.Period {
-			t.Fatalf("trace %d metadata mismatch", i)
+	for _, st := range []*Store{heap, mapped} {
+		v := st.View([]int{4, 1})
+		if v.Len() != 2 || v.Label(0) != st.Label(4) || v.NumClasses() != st.NumClasses() {
+			t.Fatal("view indexing broken")
 		}
-		for j := range a.Values {
-			if a.Values[j] != b.Values[j] {
-				t.Fatalf("trace %d sample %d mismatch", i, j)
-			}
+		if &v.Values(1)[0] != &st.Values(1)[0] {
+			t.Fatal("view does not alias the store's rows")
 		}
 	}
 }
 
-func TestStoreShardAndView(t *testing.T) {
-	st := buildStore(t, []int{20, 20, 20, 20, 20}, 20)
-	shards := st.Shards(2)
-	if len(shards) != 3 || shards[0].Len() != 2 || shards[2].Len() != 1 {
-		t.Fatalf("Shards(2) produced %d shards", len(shards))
+// TestByClassAndSubset checks the per-class grouping k-fold splitting
+// deals from, and a view of a subset of rows.
+func TestByClassAndSubset(t *testing.T) {
+	st := buildStore(t, []int{5, 5, 5, 5, 5, 5, 5}, 5) // labels i%3
+	by := st.byClass()
+	want := [][]int{{0, 3, 6}, {1, 4}, {2, 5}}
+	if len(by) != len(want) {
+		t.Fatalf("byClass = %v", by)
 	}
-	if &shards[1].Values(0)[0] != &st.Values(2)[0] {
-		t.Fatal("shard does not alias the arena")
-	}
-	v := st.View([]int{4, 1})
-	if v.Len() != 2 || v.Label(0) != st.Label(4) {
-		t.Fatal("view indexing broken")
-	}
-	vds := v.Dataset()
-	if &vds.Traces[1].Values[0] != &st.Values(1)[0] {
-		t.Fatal("view dataset does not alias the arena")
-	}
-}
-
-func TestStoreF32Mirror(t *testing.T) {
-	st := buildStore(t, []int{12, 11}, 12)
-	m := st.F32()
-	if len(m) != 2*st.TraceLen() {
-		t.Fatalf("mirror length %d, want %d", len(m), 2*st.TraceLen())
-	}
-	for i := 0; i < st.Len(); i++ {
-		row := st.F32Row(i)
-		for j, v := range st.Values(i) {
-			if row[j] != float32(v) {
-				t.Fatalf("mirror [%d][%d] = %v, want %v", i, j, row[j], float32(v))
-			}
+	for c := range want {
+		if !slices.Equal(by[c], want[c]) {
+			t.Fatalf("byClass = %v, want %v", by, want)
 		}
 	}
-	if &st.F32()[0] != &m[0] {
-		t.Fatal("mirror rebuilt on second call")
+	v := st.View([]int{0, 5, 6})
+	if v.Len() != 3 || v.Label(1) != 2 || &v.Values(2)[0] != &st.Values(6)[0] {
+		t.Fatal("subset view wrong")
 	}
 }
 

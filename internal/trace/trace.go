@@ -1,19 +1,14 @@
-// Package trace defines the side-channel trace and dataset types shared by
-// attackers, classifiers, and the experiment harness, along with
-// preprocessing (normalization, downsampling), stratified k-fold splitting,
-// and (de)serialization.
+// Package trace defines the side-channel trace and the columnar Store that
+// holds every labeled dataset from collection to classifier, along with
+// downsampling, stratified k-fold splitting, and the TRSF shard file format
+// (shard.go), the only on-disk form of a dataset.
 package trace
 
 import (
-	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"sort"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Trace is one recorded attack trace: counter values per period.
@@ -30,114 +25,6 @@ type Trace struct {
 	Period sim.Duration
 	// Values holds one counter value per period.
 	Values []float64
-
-	// view marks a trace whose Values alias shared storage (a Store arena
-	// or an mmap-backed shard): reading is free, writing is forbidden.
-	// Unexported so gob/json codecs ignore it — serialized traces always
-	// come back owned.
-	view bool
-}
-
-// IsView reports whether Values alias shared storage (a Store arena). View
-// traces are copy-on-write: call Owned (or Clone) before mutating Values.
-func (t Trace) IsView() bool { return t.view }
-
-// Owned returns a trace safe to mutate: t itself when it already owns its
-// values, a deep copy when it is an arena view. The copy-on-write half of
-// the view contract — sharing stays free, mutation pays exactly one copy.
-func (t Trace) Owned() Trace {
-	if !t.view {
-		return t
-	}
-	return t.Clone()
-}
-
-// Clone deep-copies the trace. The result owns its values even when t was
-// an arena view.
-func (t Trace) Clone() Trace {
-	v := make([]float64, len(t.Values))
-	copy(v, t.Values)
-	t.Values = v
-	t.view = false
-	return t
-}
-
-// Normalized returns the trace's values divided by their maximum, the
-// normalization the paper applies in Figure 4.
-func (t Trace) Normalized() []float64 { return stats.NormalizeMax(t.Values) }
-
-// NormalizedInto is Normalized writing into dst (grown as needed),
-// avoiding the per-call allocation on read paths that normalize many
-// traces. dst must not alias t.Values. Returns the result slice.
-func (t Trace) NormalizedInto(dst []float64) []float64 {
-	return stats.NormalizeMaxInto(dst, t.Values)
-}
-
-// Dataset is a labeled collection of traces.
-type Dataset struct {
-	Traces     []Trace
-	NumClasses int
-	// TrimmedSamples counts samples dropped when the collection harness
-	// aligned traces to a common length (jittered timers can make trace
-	// lengths differ by a sample or two). Zero when every trace agreed.
-	TrimmedSamples int
-
-	// store, when non-nil, is the columnar arena this dataset's traces
-	// alias (see Store.Dataset). Unexported so the gob/json codecs ignore
-	// it — a deserialized dataset owns its traces and has no store until
-	// NewStoreFromDataset packs one.
-	store *Store
-}
-
-// Store returns the columnar arena backing this dataset's traces, or nil
-// for a row-oriented dataset. Fast paths (arena-packed training, the f32
-// inference mirror, byte-accurate cache accounting) key off this.
-func (d *Dataset) Store() *Store { return d.store }
-
-// Len returns the number of traces.
-func (d *Dataset) Len() int { return len(d.Traces) }
-
-// Append adds a trace.
-func (d *Dataset) Append(t Trace) { d.Traces = append(d.Traces, t) }
-
-// Validate checks labels are within range and value lengths agree.
-func (d *Dataset) Validate() error {
-	if d.NumClasses <= 0 {
-		return errors.New("trace: dataset has no classes")
-	}
-	if len(d.Traces) == 0 {
-		return errors.New("trace: dataset is empty")
-	}
-	n := len(d.Traces[0].Values)
-	for i, t := range d.Traces {
-		if t.Label < 0 || t.Label >= d.NumClasses {
-			return fmt.Errorf("trace %d: label %d out of range [0,%d)", i, t.Label, d.NumClasses)
-		}
-		if len(t.Values) != n {
-			return fmt.Errorf("trace %d: length %d != %d", i, len(t.Values), n)
-		}
-	}
-	return nil
-}
-
-// ByClass groups trace indices by label.
-func (d *Dataset) ByClass() map[int][]int {
-	m := make(map[int][]int)
-	for i, t := range d.Traces {
-		m[t.Label] = append(m[t.Label], i)
-	}
-	return m
-}
-
-// Subset returns a new dataset containing the given trace indices. Traces
-// are shared, not copied; a subset of an arena-backed dataset keeps its
-// store reference.
-func (d *Dataset) Subset(idx []int) *Dataset {
-	out := &Dataset{NumClasses: d.NumClasses, store: d.store, Traces: make([]Trace, 0, len(idx))}
-	for _, i := range idx {
-		out.Traces = append(out.Traces, d.Traces[i])
-	}
-	return out
 }
 
 // Fold is one cross-validation split of trace indices.
@@ -146,46 +33,51 @@ type Fold struct {
 	Test  []int
 }
 
-// KFold produces k stratified folds: each class's traces are spread evenly
-// across test sets, as in the paper's 10-fold cross-validation (§4.1).
-func (d *Dataset) KFold(k int, seed uint64) ([]Fold, error) {
+// KFold produces k stratified folds over the store's traces: each class's
+// traces are spread evenly across test sets, as in the paper's 10-fold
+// cross-validation (§4.1).
+func (s *Store) KFold(k int, seed uint64) ([]Fold, error) {
 	if k < 2 {
 		return nil, errors.New("trace: k must be >= 2")
 	}
-	if len(d.Traces) < k {
-		return nil, fmt.Errorf("trace: %d traces cannot fill %d folds", len(d.Traces), k)
+	if s.n < k {
+		return nil, fmt.Errorf("trace: %d traces cannot fill %d folds", s.n, k)
 	}
 	rng := sim.NewStream(seed, "kfold")
+	testOf := make([]int, s.n) // the fold whose test set holds trace i
 	testSets := make([][]int, k)
-	byClass := d.ByClass()
-	classes := make([]int, 0, len(byClass))
-	for c := range byClass {
-		classes = append(classes, c)
-	}
-	sort.Ints(classes)
 	turn := 0
-	for _, c := range classes {
-		idx := byClass[c]
+	for _, idx := range s.byClass() {
+		if len(idx) == 0 {
+			continue
+		}
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for _, i := range idx {
+			testOf[i] = turn % k
 			testSets[turn%k] = append(testSets[turn%k], i)
 			turn++
 		}
 	}
 	folds := make([]Fold, k)
-	for f := 0; f < k; f++ {
-		inTest := make(map[int]bool, len(testSets[f]))
-		for _, i := range testSets[f] {
-			inTest[i] = true
-		}
+	for f := range folds {
 		folds[f].Test = testSets[f]
-		for i := range d.Traces {
-			if !inTest[i] {
+		for i, tf := range testOf {
+			if tf != f {
 				folds[f].Train = append(folds[f].Train, i)
 			}
 		}
 	}
 	return folds, nil
+}
+
+// byClass groups trace indices by label, in label order; a class with no
+// traces gets an empty group.
+func (s *Store) byClass() [][]int {
+	groups := make([][]int, s.classes)
+	for i, l := range s.labels {
+		groups[l] = append(groups[l], i)
+	}
+	return groups
 }
 
 // Downsample reduces xs by averaging non-overlapping windows of `factor`
@@ -230,34 +122,6 @@ func DownsampleInto(dst, xs []float64, factor int) []float64 {
 		out[full] = s / float64(rem)
 	}
 	return out
-}
-
-// WriteGob serializes the dataset with encoding/gob.
-func (d *Dataset) WriteGob(w io.Writer) error { return gob.NewEncoder(w).Encode(d) }
-
-// ReadGob deserializes a dataset written by WriteGob.
-func ReadGob(r io.Reader) (*Dataset, error) {
-	var d Dataset
-	if err := gob.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("trace: gob decode: %w", err)
-	}
-	return &d, nil
-}
-
-// WriteJSON serializes the dataset as JSON (interoperable with the paper's
-// Python tooling formats).
-func (d *Dataset) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(d)
-}
-
-// ReadJSON deserializes a dataset written by WriteJSON.
-func ReadJSON(r io.Reader) (*Dataset, error) {
-	var d Dataset
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("trace: json decode: %w", err)
-	}
-	return &d, nil
 }
 
 // MeanTrace averages the given traces sample-wise (they must share length);

@@ -1,81 +1,89 @@
 package trace
 
 import (
-	"bytes"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
 )
 
-func mkDataset(classes, perClass, n int) *Dataset {
-	d := &Dataset{NumClasses: classes}
+// mkStore builds a store of classes × perClass traces of n samples each,
+// labelled class by class.
+func mkStore(t testing.TB, classes, perClass, n int) *Store {
+	t.Helper()
+	labels := make([]int, 0, classes*perClass)
 	for c := 0; c < classes; c++ {
 		for k := 0; k < perClass; k++ {
-			vals := make([]float64, n)
-			for i := range vals {
-				vals[i] = float64(c*1000 + k*10 + i)
-			}
-			d.Append(Trace{Domain: "d", Label: c, Attack: "loop-counting", Period: 5 * sim.Millisecond, Values: vals})
+			labels = append(labels, c)
 		}
 	}
-	return d
+	return labelledStore(t, classes, labels, n)
 }
 
-func TestValidate(t *testing.T) {
-	d := mkDataset(3, 2, 10)
-	if err := d.Validate(); err != nil {
+// labelledStore builds a store with one n-sample trace per label.
+func labelledStore(t testing.TB, classes int, labels []int, n int) *Store {
+	t.Helper()
+	b := NewBuilder(len(labels), n)
+	for i, c := range labels {
+		vals := b.Row(i)
+		for j := 0; j < n; j++ {
+			vals = append(vals, float64(c*1000+i*10+j))
+		}
+		b.Finish(i, Trace{Domain: "d", Label: c, Attack: "loop-counting", Period: 5 * sim.Millisecond, Values: vals})
+	}
+	st, err := b.Seal(classes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bad := mkDataset(3, 2, 10)
-	bad.Traces[1].Label = 7
-	if bad.Validate() == nil {
-		t.Fatal("out-of-range label accepted")
-	}
-	bad2 := mkDataset(3, 2, 10)
-	bad2.Traces[2].Values = bad2.Traces[2].Values[:5]
-	if bad2.Validate() == nil {
-		t.Fatal("ragged lengths accepted")
-	}
-	if (&Dataset{NumClasses: 1}).Validate() == nil {
-		t.Fatal("empty dataset accepted")
-	}
-	if (&Dataset{}).Validate() == nil {
-		t.Fatal("zero classes accepted")
-	}
+	return st
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	tr := Trace{Values: []float64{1, 2, 3}}
-	c := tr.Clone()
-	c.Values[0] = 99
-	if tr.Values[0] != 1 {
-		t.Fatal("Clone shares storage")
+// TestValidate checks the label space is enforced where a store is made:
+// Seal rejects a class count outside [1, n] and any label outside
+// [0, classes), on both builders.
+func TestValidate(t *testing.T) {
+	seal := func(classes int, labels ...int) error {
+		b := NewBuilder(len(labels), 4)
+		for i, l := range labels {
+			b.Finish(i, Trace{Label: l, Values: []float64{1, 2, 3, 4}})
+		}
+		_, err := b.Seal(classes)
+		return err
 	}
-}
+	if err := seal(3, 0, 1, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range map[string]error{
+		"label beyond classes":     seal(2, 0, 1, 7),
+		"negative label":           seal(2, 0, -1),
+		"zero classes":             seal(0, 0, 0),
+		"more classes than traces": seal(4, 0, 1, 2),
+	} {
+		if err == nil {
+			t.Errorf("%s: Seal accepted it", name)
+		}
+	}
 
-func TestNormalized(t *testing.T) {
-	tr := Trace{Values: []float64{1, 2, 4}}
-	n := tr.Normalized()
-	if n[2] != 1 || n[0] != 0.25 {
-		t.Fatalf("Normalized = %v", n)
+	sb, err := NewSpillBuilder(filepath.Join(t.TempDir(), "bad.trst"), 2, 4, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestByClassAndSubset(t *testing.T) {
-	d := mkDataset(3, 4, 5)
-	by := d.ByClass()
-	if len(by) != 3 || len(by[1]) != 4 {
-		t.Fatalf("ByClass = %v", by)
+	defer sb.Abort()
+	if err := sb.Advance(0, 2); err != nil {
+		t.Fatal(err)
 	}
-	s := d.Subset([]int{0, 5, 11})
-	if s.Len() != 3 || s.Traces[1].Label != 1 {
-		t.Fatalf("Subset wrong: %+v", s.Traces)
+	for i, l := range []int{0, 7} {
+		sb.Finish(i, Trace{Label: l, Values: []float64{1, 2, 3, 4}})
+	}
+	if _, err := sb.Seal(2); err == nil {
+		t.Error("SpillBuilder.Seal accepted label 7 of 2 classes")
 	}
 }
 
 func TestKFoldStratified(t *testing.T) {
-	d := mkDataset(5, 10, 4)
+	d := mkStore(t, 5, 10, 4)
 	folds, err := d.KFold(10, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +120,28 @@ func TestKFoldStratified(t *testing.T) {
 	}
 }
 
+// TestKFoldAssignment pins the fold assignment of an unbalanced store:
+// per class in label order, shuffle with the seed's "kfold" stream, then
+// deal round robin. Evaluate's results depend on exactly this split.
+func TestKFoldAssignment(t *testing.T) {
+	st := labelledStore(t, 3, []int{0, 0, 1, 1, 1, 1, 2, 2, 2, 2}, 2)
+	folds, err := st.KFold(3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{1, 2, 8, 7}, {0, 3, 6}, {4, 5, 9}}
+	for f, fold := range folds {
+		if !slices.Equal(fold.Test, want[f]) {
+			t.Fatalf("fold %d test %v, want %v", f, fold.Test, want[f])
+		}
+	}
+	if !slices.Equal(folds[0].Train, []int{0, 3, 4, 5, 6, 9}) {
+		t.Fatalf("fold 0 train %v", folds[0].Train)
+	}
+}
+
 func TestKFoldErrors(t *testing.T) {
-	d := mkDataset(2, 2, 3)
+	d := mkStore(t, 2, 2, 3)
 	if _, err := d.KFold(1, 0); err == nil {
 		t.Fatal("k=1 accepted")
 	}
@@ -127,7 +155,7 @@ func TestKFoldPartitionProperty(t *testing.T) {
 	f := func(cs, ps uint8) bool {
 		classes := int(cs)%5 + 2
 		per := int(ps)%6 + 2
-		d := mkDataset(classes, per, 3)
+		d := mkStore(t, classes, per, 3)
 		k := 2 + int(cs)%3
 		folds, err := d.KFold(k, 11)
 		if err != nil {
@@ -168,42 +196,6 @@ func TestDownsample(t *testing.T) {
 	id[0] = 99
 	if xs[0] == 99 {
 		t.Fatal("Downsample must not alias input")
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	d := mkDataset(3, 2, 8)
-	var buf bytes.Buffer
-	if err := d.WriteGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumClasses != 3 || got.Len() != 6 || got.Traces[5].Values[7] != d.Traces[5].Values[7] {
-		t.Fatal("gob round-trip mismatch")
-	}
-	if _, err := ReadGob(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage gob accepted")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	d := mkDataset(2, 2, 4)
-	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 4 || got.Traces[0].Attack != "loop-counting" {
-		t.Fatal("json round-trip mismatch")
-	}
-	if _, err := ReadJSON(bytes.NewReader([]byte("{"))); err == nil {
-		t.Fatal("garbage json accepted")
 	}
 }
 
