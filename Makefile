@@ -3,16 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-ml bench-infer bench-infer-smoke bench-infer-int8 bench-infer-int8-smoke bench-serve bench-serve-smoke bench-dist bench-dist-smoke check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
-
-# Run directory for benchmark artifacts. Every bench target drops all of its
-# outputs — profiles and the machine-readable JSON from cmd/benchjson — into
-# this one directory, mirroring cmd/experiments' -outdir convention.
-# Override per run: `make bench OUTDIR=runs/2026-08-05`.
-OUTDIR ?= bench-out
-
-$(OUTDIR):
-	mkdir -p $(OUTDIR)
+.PHONY: all build vet test race check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
 
 all: build
 
@@ -34,76 +25,6 @@ test:
 # lifecycle, metrics registry/tracer) under the race detector.
 race:
 	$(GO) test -race ./internal/ml ./internal/core ./internal/sim ./internal/kernel ./internal/obs ./internal/serve ./internal/trace ./internal/dist
-
-# Full benchmark sweep (slow: regenerates every table/figure at bench scale).
-# CPU/heap profiles land next to the parsed BENCH.json in $(OUTDIR) instead
-# of littering the repo root.
-bench: | $(OUTDIR)
-	$(GO) test -run xxx -bench . -benchmem \
-		-cpuprofile $(OUTDIR)/cpu.prof -memprofile $(OUTDIR)/mem.prof . \
-		| $(GO) run ./cmd/benchjson -tee -o $(OUTDIR)/BENCH.json
-
-# Just the ML-engine benchmarks: training throughput, inference, and the
-# f64/f32 GEMM kernels. BENCH_ml.json is the machine-readable trajectory
-# future changes diff against (the committed copy at the repo root is the
-# current baseline).
-bench-ml: | $(OUTDIR)
-	$(GO) test -run xxx -bench 'BenchmarkTrainPaperNet|BenchmarkGEMM|BenchmarkPredictBatch|BenchmarkGemm32Kernel|BenchmarkAblationClassifiers' -benchmem . ./internal/ml \
-		| $(GO) run ./cmd/benchjson -tee -o $(OUTDIR)/BENCH_ml.json
-
-# Inference fast path only: compiled-vs-reference PredictBatch plus the f32
-# kernel behind it.
-bench-infer: | $(OUTDIR)
-	$(GO) test -run xxx -bench 'BenchmarkPredictBatch|BenchmarkGemm32Kernel' -benchmem . ./internal/ml \
-		| $(GO) run ./cmd/benchjson -tee -o $(OUTDIR)/BENCH_infer.json
-
-# One-iteration pass over the inference benchmarks: catches bit-rot in the
-# compiled path's benchmark plumbing without paying for stable timings.
-bench-infer-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPredictBatch|BenchmarkGemm32Kernel' -benchtime 1x . ./internal/ml
-
-# Quantized inference tier: the int8 PredictBatch leg measured back to back
-# with the f32 compiled leg it is gated against (≥2× in EXPERIMENTS.md),
-# plus the int8 kernel microbenchmarks. BENCH_infer_int8.json at the repo
-# root is the committed baseline; the compiled leg rides along so the pair
-# is always from one run on one machine.
-bench-infer-int8: | $(OUTDIR)
-	$(GO) test -run xxx -bench 'BenchmarkPredictBatch|BenchmarkQ8' -benchmem . ./internal/ml \
-		| $(GO) run ./cmd/benchjson -tee -o $(OUTDIR)/BENCH_infer_int8.json
-
-# One-iteration pass over the int8 benchmarks: catches bit-rot in the
-# quantized path's benchmark plumbing without paying for stable timings.
-bench-infer-int8-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkPredictBatch/int8|BenchmarkQ8' -benchtime 1x . ./internal/ml
-
-# Serving daemon: sustained throughput of the admission-controlled
-# micro-batching server vs the unbatched and naive paths, the low-load
-# latency legs, and the tier×batchwait×workers sweep. BENCH_serve.json at
-# the repo root is the committed baseline; profiles land in $(OUTDIR).
-bench-serve: | $(OUTDIR)
-	$(GO) test -run xxx -bench 'BenchmarkServe' -benchtime 2s \
-		-cpuprofile $(OUTDIR)/serve-cpu.prof -memprofile $(OUTDIR)/serve-mem.prof \
-		./internal/serve \
-		| $(GO) run ./cmd/benchjson -tee -o $(OUTDIR)/BENCH_serve.json
-
-# One-iteration pass over the serving benchmarks: catches bit-rot in the
-# load-harness plumbing without paying for stable timings.
-bench-serve-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkServe' -benchtime 1x ./internal/serve
-
-# Distributed runner: a paced 16-cell grid over 1/2/4 worker replicas
-# (dispatcher scaling — wall clock should halve per doubling) plus the
-# worker-churn leg where a replica dies holding a cell and the retry path
-# completes the grid. BENCH_dist.json at the repo root is the committed
-# baseline; EXPERIMENTS.md's "Distributed runs" section interprets it.
-bench-dist: | $(OUTDIR)
-	$(GO) test -run xxx -bench 'BenchmarkDist' -benchtime 5x ./internal/dist \
-		| $(GO) run ./cmd/benchjson -tee -o $(OUTDIR)/BENCH_dist.json
-
-# One-iteration pass over the dist benchmarks: catches bit-rot in the
-# coordinator/worker bench harness without paying for stable timings.
-bench-dist-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkDist' -benchtime 1x ./internal/dist
 
 # The compiled inference path must agree (argmax per trace) with the float64
 # reference on every golden scenario. Run narrowly with -v and grep for the
@@ -144,10 +65,12 @@ check-dist-equivalence:
 check-bench:
 	cd bench && $(GO) test -count=1 .
 
-# One-iteration pass over the simulation-side benchmarks: catches bit-rot in
-# benchmark code without paying for stable timings.
+# One-iteration pass over every benchmark in the repo (the root package's
+# table benchmarks included): catches bit-rot in benchmark code without
+# paying for stable timings. bench/ is the repository benchmark; its own
+# module is exercised by check-bench.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/kernel ./internal/core ./internal/obs
+	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # Observability overhead check: the instrumented collection sweep with obs
 # off must match BenchmarkCollectDataset (see EXPERIMENTS.md baselines).
@@ -182,9 +105,9 @@ smoke-dist:
 	grep -q '"source": "smoke-w' smoke-dist-out/run.json
 	rm -rf smoke-dist-out
 
-ci: build vet test race bench-smoke bench-infer-smoke bench-infer-int8-smoke bench-serve-smoke bench-dist-smoke check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist
+ci: build vet test race bench-smoke check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist
 
 clean:
 	$(GO) clean
 	rm -f cpu.prof mem.prof
-	rm -rf smoke-obs-out smoke-dist-out bench-out
+	rm -rf smoke-obs-out smoke-dist-out

@@ -30,6 +30,11 @@ import (
 // benchScale keeps bench runtime manageable: 8 sites × 6 traces, 3 folds.
 var benchScale = core.Scale{Sites: 8, TracesPerSite: 6, Folds: 3, Seed: 99}
 
+// benchRunner runs every benchmark's cells with the default classifier
+// and cmd/experiments' default dataset cache, so repeated iterations
+// re-evaluate cached datasets as a grid run does.
+var benchRunner = core.Runner{Cache: core.NewDatasetCache(8, 0, "")}
+
 func reportAccuracy(b *testing.B, name string, r core.Result) {
 	b.ReportMetric(r.Top1.Mean, name+"-top1-%")
 }
@@ -50,7 +55,7 @@ func BenchmarkTable1(b *testing.B) {
 				Name: "bench-t1", OS: cfg.OS, Browser: cfg.Browser,
 				Attack: core.LoopCounting,
 			}
-			res, err := core.RunExperiment(scn, sc, nil)
+			res, err := benchRunner.RunExperiment(scn, sc)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -67,7 +72,7 @@ func BenchmarkTable1(b *testing.B) {
 // cache-sweep noise, and interrupt noise.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Table2(benchScale)
+		rows, err := benchRunner.Table2(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +87,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 regenerates Table 3's isolation-mechanism ladder.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Table3(benchScale)
+		rows, err := benchRunner.Table3(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +98,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates Table 4's timer-defense comparison.
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Table4(benchScale)
+		rows, err := benchRunner.Table4(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +110,7 @@ func BenchmarkTable4(b *testing.B) {
 // attack with Slack+Spotify running loses only a few points.
 func BenchmarkBackgroundNoise(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := core.BackgroundNoise(benchScale)
+		res, err := benchRunner.BackgroundNoise(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +134,7 @@ func BenchmarkFigure3(b *testing.B) {
 // BenchmarkFigure4 regenerates the loop/sweep correlation comparison.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := core.Figure4(6, uint64(i))
+		series, err := benchRunner.Figure4(6, uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +240,7 @@ func BenchmarkAblationClassifiers(b *testing.B) {
 		Browser: browser.Chrome, Attack: core.LoopCounting,
 	}
 	sc := core.Scale{Sites: 5, TracesPerSite: 8, Folds: 2, Seed: 7}
-	ds, err := core.CollectDataset(scn, sc)
+	ds, err := benchRunner.CollectDataset(scn, sc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -295,7 +300,7 @@ func BenchmarkAblationSoftirqPolicy(b *testing.B) {
 				SoftirqPolicy: &p,
 			}
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunExperiment(scn, benchScale, nil)
+				res, err := benchRunner.RunExperiment(scn, benchScale)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -41,6 +41,10 @@ import (
 
 // Core harness types.
 type (
+	// Runner is one run's configuration — classifier, inference tier,
+	// dataset cache and cell dispatcher — and runs the experiments; its
+	// zero value evaluates with nearest centroid and caches nothing.
+	Runner = core.Runner
 	// Scenario is one experimental configuration (browser, OS, attack,
 	// isolation, defenses).
 	Scenario = core.Scenario
@@ -105,11 +109,6 @@ var (
 	CSSAttacker    = attack.CSS
 )
 
-// CollectDataset simulates the full labeled dataset for a scenario.
-func CollectDataset(scn Scenario, sc Scale) (*Store, error) {
-	return core.CollectDataset(scn, sc)
-}
-
 // CollectTrace simulates one labeled trace of the given site.
 func CollectTrace(scn Scenario, domain string, label, visit int, seed uint64) (Trace, error) {
 	return core.CollectOne(scn, website.ProfileFor(domain), label, visit, seed)
@@ -118,11 +117,6 @@ func CollectTrace(scn Scenario, domain string, label, visit int, seed uint64) (T
 // Evaluate cross-validates a classifier on a dataset.
 func Evaluate(st *Store, sc Scale, mk ClassifierMaker, name string) (Result, error) {
 	return core.Evaluate(st, sc, mk, name)
-}
-
-// RunExperiment collects and evaluates in one step (§4.1's pipeline).
-func RunExperiment(scn Scenario, sc Scale, mk ClassifierMaker) (Result, error) {
-	return core.RunExperiment(scn, sc, mk)
 }
 
 // ClosedWorldDomains returns the paper's Appendix-A 100-site closed world.
@@ -137,17 +131,13 @@ func DefaultClassifier(seed uint64) Classifier { return core.DefaultClassifier(s
 // (weather.com's TLB shootdowns vs nytimes.com's network softirqs).
 var SignatureOf = core.SignatureOf
 
-// Experiment reproduction entry points (see EXPERIMENTS.md).
+// Experiment reproduction entry points (see EXPERIMENTS.md). Tables 1-4,
+// BackgroundNoise, Figure4, CollectDataset and RunExperiment are Runner
+// methods.
 var (
-	Table1          = core.Table1
-	Table2          = core.Table2
-	Table3          = core.Table3
-	Table4          = core.Table4
-	BackgroundNoise = core.BackgroundNoise
-	Figure3         = core.Figure3
-	Figure4         = core.Figure4
-	Figure5         = core.Figure5
-	Figure6         = core.Figure6
-	Figure7         = core.Figure7
-	Figure8         = core.Figure8
+	Figure3 = core.Figure3
+	Figure5 = core.Figure5
+	Figure6 = core.Figure6
+	Figure7 = core.Figure7
+	Figure8 = core.Figure8
 )

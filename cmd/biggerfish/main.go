@@ -191,7 +191,7 @@ func cmdCollect(args []string) error {
 		return fmt.Errorf("unknown noise %q (interrupt, cache)", *noise)
 	}
 	sc := core.Scale{Sites: *sites, TracesPerSite: *traces, OpenWorld: *openWorld, Folds: 2, Seed: *seed}
-	st, err := core.CollectDataset(scn, sc)
+	st, err := core.Runner{}.CollectDataset(scn, sc)
 	if err != nil {
 		return err
 	}

@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/stats"
@@ -63,7 +64,6 @@ func run() int {
 	dsSpill := flag.String("dsspill", "", "directory for mmap-backed dataset shard spill files (enables the disk cache tier)")
 	clf := flag.String("clf", "", "classifier for all experiments: centroid (default), knn, logreg, cnn")
 	infer := flag.String("infer", "compiled", "inference engine for trained models: compiled (frozen f32 fast path), int8 (quantized tier, falls back to compiled per model), or reference (f64 training graph)")
-	inferPar := flag.Int("inferpar", 0, "intra-op workers for compiled inference GEMMs (0 = GOMAXPROCS); output is identical for every value")
 	obsOn := flag.Bool("obs", false, "enable the observability layer (metrics + span tracing)")
 	progress := flag.Duration("progress", 0, "live progress-line interval on stderr (implies -obs)")
 	manifestPath := flag.String("manifest", "", "write a run-manifest JSON to this file (implies -obs)")
@@ -81,18 +81,18 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "experiments: -worker and -coordinator are mutually exclusive")
 		return 2
 	}
-	core.SetDatasetCacheCapacity(*dsCacheCap)
-	core.SetDatasetCacheBudget(*dsBudget)
-	core.SetDatasetCacheSpillDir(*dsSpill)
-
-	if err := core.ConfigureClassifier(*clf); err != nil {
+	tier, err := ml.ParseInferTier(*infer)
+	if err == nil {
+		_, err = core.ClassifierByName(*clf, tier)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-
-	if err := core.ConfigureInference(*infer, *inferPar); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+	harness := core.Runner{
+		Classifier: *clf,
+		Tier:       tier,
+		Cache:      core.NewDatasetCache(*dsCacheCap, *dsBudget, *dsSpill),
 	}
 
 	if *progress > 0 || *manifestPath != "" || *httpAddr != "" || *coordAddr != "" {
@@ -136,13 +136,13 @@ func run() int {
 	}
 
 	// Worker replica mode: pull cells from a coordinator until told to
-	// drain. Everything configured above — classifier, inference tier,
-	// dataset cache, profiles, debug server — applies to the cells this
-	// replica runs; scale and step selection come from the coordinator.
+	// drain. Each cell spec names its classifier, tier and scale; the
+	// harness built above contributes its dataset cache, and the profiles
+	// and debug server configured above cover the replica's work.
 	if *workerAddr != "" {
 		obs.Enable()
-		rep := obs.StartReporter(os.Stderr, *progress, core.ProgressLine)
-		err := dist.RunWorker(*workerAddr, dist.WorkerOptions{Name: *workerName, Lanes: *lanes})
+		rep := obs.StartReporter(os.Stderr, *progress, harness.ProgressLine)
+		err := dist.RunWorker(*workerAddr, dist.WorkerOptions{Name: *workerName, Lanes: *lanes, Run: harness.RunCell})
 		rep.Stop()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -176,17 +176,16 @@ func run() int {
 	// replicas instead of running here; the dispatcher blocks until the
 	// first worker joins, so starting workers late is fine.
 	var coord *dist.Coordinator
-	progressLine := core.ProgressLine
+	progressLine := harness.ProgressLine
 	if *coordAddr != "" {
 		coord, err = dist.NewCoordinator(*coordAddr, dist.Config{Deadline: *cellDeadline})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		core.SetCellDispatcher(coord)
-		defer core.SetCellDispatcher(nil)
+		harness.Dispatcher = coord
 		fmt.Fprintf(os.Stderr, "dist: coordinator listening on %s\n", coord.Addr())
-		progressLine = func() string { return core.ProgressLine() + " | " + coord.StatusLine() }
+		progressLine = func() string { return harness.ProgressLine() + " | " + coord.StatusLine() }
 	}
 
 	start := time.Now()
@@ -224,7 +223,6 @@ func run() int {
 			m.Config["classifier"] = "centroid"
 		}
 		m.Config["infer"] = *infer
-		m.Config["inferpar"] = fmt.Sprint(*inferPar)
 		m.Config["cells"] = fmt.Sprint(*cells)
 		m.Config["dscache"] = fmt.Sprint(*dsCacheCap)
 		m.Config["dsbudget"] = fmt.Sprint(*dsBudget)
@@ -232,7 +230,7 @@ func run() int {
 		if runErr != nil {
 			m.Config["error"] = runErr.Error()
 		}
-		m.Sections = core.ManifestSections(time.Since(start))
+		m.Sections = harness.ManifestSections(time.Since(start))
 		m.Finish(obs.Default, obs.DefaultTracer, start)
 		if coord != nil {
 			// The coordinator ran no cells itself: merge the workers'
@@ -260,7 +258,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "obs: manifest written to %s\n", path)
 	}
 
-	r := runner{sc: sc, figRuns: figRuns, outDir: *outDir, seed: *seed, md: &strings.Builder{}}
+	r := runner{run: harness, sc: sc, figRuns: figRuns, outDir: *outDir, seed: *seed, md: &strings.Builder{}}
 	fmt.Fprintf(r.md, "# Reproduction report (scale %s, seed %d)\n", *scale, *seed)
 	steps := []struct {
 		key string
@@ -307,6 +305,7 @@ func scaleFor(name string, seed uint64) (core.Scale, int, error) {
 }
 
 type runner struct {
+	run     core.Runner
 	sc      core.Scale
 	figRuns int
 	outDir  string
@@ -333,7 +332,7 @@ func f(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 func (r runner) table1() error {
 	fmt.Println("== Table 1: loop-counting vs cache attack across browser × OS ==")
-	rows, err := core.Table1(r.sc)
+	rows, err := r.run.Table1(r.sc)
 	if err != nil {
 		return err
 	}
@@ -362,7 +361,7 @@ func (r runner) table1() error {
 
 func (r runner) table2() error {
 	fmt.Println("== Table 2: attacks under noise countermeasures ==")
-	rows, err := core.Table2(r.sc)
+	rows, err := r.run.Table2(r.sc)
 	if err != nil {
 		return err
 	}
@@ -385,7 +384,7 @@ func (r runner) table2() error {
 
 func (r runner) table3() error {
 	fmt.Println("== Table 3: isolation mechanisms (Python attacker) ==")
-	rows, err := core.Table3(r.sc)
+	rows, err := r.run.Table3(r.sc)
 	if err != nil {
 		return err
 	}
@@ -408,7 +407,7 @@ func (r runner) table3() error {
 
 func (r runner) table4() error {
 	fmt.Println("== Table 4: timer defenses (Python attacker) ==")
-	rows, err := core.Table4(r.sc)
+	rows, err := r.run.Table4(r.sc)
 	if err != nil {
 		return err
 	}
@@ -432,7 +431,7 @@ func (r runner) table4() error {
 
 func (r runner) backgroundNoise() error {
 	fmt.Println("== §4.2 robustness: background noise (Slack + Spotify) ==")
-	res, err := core.BackgroundNoise(r.sc)
+	res, err := r.run.BackgroundNoise(r.sc)
 	if err != nil {
 		return err
 	}
@@ -469,7 +468,7 @@ func (r runner) figure3() error {
 
 func (r runner) figure4() error {
 	fmt.Println("== Figure 4: loop vs sweep averaged traces (correlation) ==")
-	series, err := core.Figure4(r.figRuns, r.seed)
+	series, err := r.run.Figure4(r.figRuns, r.seed)
 	if err != nil {
 		return err
 	}

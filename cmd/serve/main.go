@@ -8,7 +8,7 @@
 //
 //	serve [-addr :7077] [-clf logreg|cnn] [-infer int8|compiled]
 //	      [-scale small|medium|full] [-seed N]
-//	      [-workers N] [-maxbatch 32] [-batchwait 200µs] [-queue N]
+//	      [-workers N] [-maxbatch 32] [-queue N]
 //	      [-deadline 0] [-selftest] [-conc 256] [-duration 5s]
 //	      [-obs] [-progress 2s] [-manifest run.json] [-httpaddr :0]
 //	      [-telemetry host:port] [-outdir dir] [-cpuprofile f] [-memprofile f]
@@ -33,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -44,6 +45,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -60,7 +62,6 @@ func run() int {
 	seed := flag.Uint64("seed", 1, "root random seed")
 	workers := flag.Int("workers", 1, "inference workers (each owns a pinned scratch arena)")
 	maxBatch := flag.Int("maxbatch", 0, "max coalesced batch width (0 = the compiled tier's micro-batch width)")
-	batchWait := flag.Duration("batchwait", 200*time.Microsecond, "how long a worker holds an open batch waiting for it to fill (0 = greedy)")
 	queueDepth := flag.Int("queue", 0, "submission queue bound; beyond it requests shed with an overload error (0 = 4×workers×maxbatch)")
 	deadline := flag.Duration("deadline", 0, "per-request deadline; expired requests are dropped before scoring (0 = none)")
 	selftest := flag.Bool("selftest", false, "run the closed-loop load harness instead of listening")
@@ -116,7 +117,10 @@ func run() int {
 		defer closeDebug()
 	}
 
-	tier, err := core.ParseServingTier(*infer)
+	tier, err := ml.ParseInferTier(*infer)
+	if err == nil && tier == ml.TierReference {
+		err = errors.New("serve: serving requires a compiled tier (want int8 or compiled)")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -129,7 +133,7 @@ func run() int {
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "serve: training %s at scale %s (seed %d)...\n", *clf, *scaleName, *seed)
-	sm, err := core.BuildServingModel(core.ServingScenario(), sc, *clf, tier)
+	sm, err := core.Runner{Classifier: *clf, Tier: tier}.BuildServingModel(core.ServingScenario(), sc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -143,7 +147,6 @@ func run() int {
 		InputLen:   sm.InputLen,
 		Workers:    *workers,
 		MaxBatch:   *maxBatch,
-		BatchWait:  *batchWait,
 		QueueDepth: *queueDepth,
 		Deadline:   *deadline,
 	})
@@ -190,7 +193,6 @@ func run() int {
 		m.Config["scale"] = *scaleName
 		m.Config["seed"] = fmt.Sprint(*seed)
 		m.Config["workers"] = fmt.Sprint(*workers)
-		m.Config["batchwait"] = batchWait.String()
 		m.Config["telemetry.frame_version"] = fmt.Sprint(obs.TelemetryVersion)
 		m.Config["telemetry.windows"] = "10s/10,1m/12"
 		if *telemetry != "" {
@@ -243,8 +245,7 @@ func run() int {
 		srv.Stop()
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "serve: listening on %s (tier %s, %d workers, batchwait %v)\n",
-		ln.Addr(), sm.Tier, *workers, *batchWait)
+	fmt.Fprintf(os.Stderr, "serve: listening on %s (tier %s, %d workers)\n", ln.Addr(), sm.Tier, *workers)
 	obs.SetReady(true)
 
 	sig := make(chan os.Signal, 1)

@@ -18,7 +18,7 @@ func Example() {
 	}
 	scale := biggerfish.Scale{Sites: 3, TracesPerSite: 4, Folds: 2, Seed: 1}
 
-	result, err := biggerfish.RunExperiment(scenario, scale, nil)
+	result, err := biggerfish.Runner{}.RunExperiment(scenario, scale)
 	if err != nil {
 		panic(err)
 	}

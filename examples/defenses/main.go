@@ -28,11 +28,14 @@ func main() {
 		Attack:  biggerfish.LoopCounting,
 	}
 
+	// The zero Runner evaluates with the default nearest-centroid
+	// classifier and collects every dataset afresh.
+	var runner biggerfish.Runner
 	run := func(name string, mutate func(*biggerfish.Scenario)) biggerfish.Result {
 		scn := base
 		scn.Name = name
 		mutate(&scn)
-		res, err := biggerfish.RunExperiment(scn, scale, nil)
+		res, err := runner.RunExperiment(scn, scale)
 		if err != nil {
 			log.Fatal(err)
 		}

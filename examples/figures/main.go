@@ -37,7 +37,7 @@ func main() {
 
 	// A mini Figure 4: averaged loop vs sweep for one site.
 	fmt.Println("\nFigure 4 — normalized loop (●) vs sweep (○) traces, nytimes.com:")
-	series, err := biggerfish.Figure4(4, 2022)
+	series, err := biggerfish.Runner{}.Figure4(4, 2022)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,11 +26,15 @@ func main() {
 		Browser: biggerfish.Chrome,
 	}
 
+	// The zero Runner evaluates with the default nearest-centroid
+	// classifier and collects every dataset afresh.
+	var runner biggerfish.Runner
+
 	// Closed world: the attacker knows all candidate sites.
 	loop := base
 	loop.Name = "loop-counting/closed"
 	loop.Attack = biggerfish.LoopCounting
-	loopRes, err := biggerfish.RunExperiment(loop, scale, nil)
+	loopRes, err := runner.RunExperiment(loop, scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func main() {
 	sweep := base
 	sweep.Name = "sweep-counting/closed"
 	sweep.Attack = biggerfish.SweepCounting
-	sweepRes, err := biggerfish.RunExperiment(sweep, scale, nil)
+	sweepRes, err := runner.RunExperiment(sweep, scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +63,7 @@ func main() {
 	open.Name = "loop-counting/open"
 	openScale := scale
 	openScale.OpenWorld = 24
-	openRes, err := biggerfish.RunExperiment(open, openScale, nil)
+	openRes, err := runner.RunExperiment(open, openScale)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	// raises NIC interrupts and softirqs, rendering raises GPU
 	// interrupts, JS bursts trigger rescheduling IPIs — and the attacker
 	// counts loop iterations through Chrome's jittered 0.1 ms timer.
-	ds, err := biggerfish.CollectDataset(scenario, scale)
+	ds, err := biggerfish.Runner{}.CollectDataset(scenario, scale)
 	if err != nil {
 		log.Fatal(err)
 	}

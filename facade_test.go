@@ -14,7 +14,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		Attack:  LoopCounting,
 	}
 	sc := Scale{Sites: 3, TracesPerSite: 3, Folds: 3, Seed: 5}
-	ds, err := CollectDataset(scn, sc)
+	ds, err := Runner{}.CollectDataset(scn, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,17 +55,16 @@ func TestFacadeExports(t *testing.T) {
 		t.Fatal("os export")
 	}
 	// Experiment entry points are wired.
-	if Table1 == nil || Table2 == nil || Table3 == nil || Table4 == nil ||
-		Figure3 == nil || Figure4 == nil || Figure5 == nil ||
-		Figure6 == nil || Figure7 == nil || Figure8 == nil {
+	if Figure3 == nil || Figure5 == nil || Figure6 == nil || Figure7 == nil ||
+		Figure8 == nil {
 		t.Fatal("experiment functions")
 	}
 }
 
 func TestFacadeRunExperiment(t *testing.T) {
-	res, err := RunExperiment(Scenario{
+	res, err := Runner{}.RunExperiment(Scenario{
 		Name: "facade-run", OS: MacOS, Browser: Firefox, Attack: LoopCounting,
-	}, Scale{Sites: 3, TracesPerSite: 3, Folds: 3, Seed: 6}, nil)
+	}, Scale{Sites: 3, TracesPerSite: 3, Folds: 3, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

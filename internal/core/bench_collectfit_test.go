@@ -81,8 +81,7 @@ func benchmarkBudgetCollectFit(b *testing.B) {
 		benchFitScenario("bench/grid-b"),
 		benchFitScenario("bench/grid-c"),
 	}
-	cache := newDatasetCache(8)
-	cache.spillDir = b.TempDir()
+	cache := NewDatasetCache(8, 0, b.TempDir())
 	visit := func(scn Scenario) error {
 		st, err := cache.getOrCollect(datasetCacheKey(scn, sc), func() (*trace.Store, error) {
 			st, _, err := collectDataset(scn, sc, nil, nil)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/ml"
 )
 
 func TestCellSpecRoundTrip(t *testing.T) {
@@ -149,7 +151,7 @@ func FuzzCellSpecJSON(f *testing.F) {
 	})
 }
 
-// recordingDispatcher captures what RunCellSpecs hands a dispatcher.
+// recordingDispatcher captures what a Runner hands its dispatcher.
 type recordingDispatcher struct {
 	specs []CellSpec
 	par   int
@@ -161,30 +163,36 @@ func (d *recordingDispatcher) RunCells(specs []CellSpec, par int) ([]CellResult,
 	return make([]CellResult, len(specs)), nil
 }
 
+// TestRunCellSpecsDispatcher checks that a Runner with a dispatcher hands
+// it every cell untouched, and that tables write the runner's classifier
+// and tier into each experiment cell so a remote worker reproduces them.
 func TestRunCellSpecsDispatcher(t *testing.T) {
+	t.Parallel()
 	d := &recordingDispatcher{}
-	SetCellDispatcher(d)
-	defer SetCellDispatcher(nil)
+	r := Runner{Classifier: "logreg", Tier: ml.TierInt8, Dispatcher: d}
 	specs := []CellSpec{
 		{Scenario: ScenarioSpec{Name: "a"}, Scale: tinyScale},
 		{Kind: "meantrace", Scenario: ScenarioSpec{Name: "b"}, Site: "x.com", Runs: 3},
 	}
-	res, err := RunCellSpecs(specs, 5)
+	res, err := r.RunCells(specs, 5)
 	if err != nil {
-		t.Fatalf("RunCellSpecs: %v", err)
+		t.Fatalf("RunCells: %v", err)
 	}
-	if len(res) != 2 || d.par != 5 || len(d.specs) != 2 {
-		t.Fatalf("dispatcher saw %d specs par %d", len(d.specs), d.par)
+	if len(res) != 2 || d.par != 5 || !reflect.DeepEqual(d.specs, specs) {
+		t.Fatalf("dispatcher saw specs %+v par %d", d.specs, d.par)
 	}
-	// Experiment cells are stamped with the process defaults so workers
-	// reproduce this process's configuration; meantrace cells are not.
-	if d.specs[0].Infer == "" {
-		t.Error("experiment cell not stamped with inference tier")
+
+	rows, err := r.Table3(tinyScale)
+	if err != nil {
+		t.Fatalf("Table3: %v", err)
 	}
-	if d.specs[1].Infer != "" {
-		t.Errorf("meantrace cell stamped with tier %q", d.specs[1].Infer)
+	if len(d.specs) != len(rows) {
+		t.Fatalf("Table3 dispatched %d cells for %d rows", len(d.specs), len(rows))
 	}
-	if specs[0].Infer != "" {
-		t.Error("stamping mutated the caller's spec")
+	for _, spec := range d.specs {
+		if spec.Classifier != "logreg" || spec.Infer != "int8" {
+			t.Errorf("cell %q carries classifier %q tier %q, want logreg int8",
+				spec.Scenario.Name, spec.Classifier, spec.Infer)
+		}
 	}
 }

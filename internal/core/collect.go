@@ -246,19 +246,13 @@ produce:
 // first Sites domains of Appendix A; open-world traces (if any) share the
 // single non-sensitive class, each drawn from a unique generated site.
 //
-// Datasets are memoized in a content-addressed in-process cache keyed by the
-// scenario's observable behavior and the scale, so experiment grids that
-// revisit the same (scenario, scale) point simulate it once. Callers share
-// the cached store, which is sealed: it never changes, even when the cache
-// later demotes its entry to disk.
-func CollectDataset(scn Scenario, sc Scale) (*trace.Store, error) {
-	return collectDatasetSpanned(nil, scn, sc)
-}
-
-// collectDatasetSpanned is CollectDataset under an optional parent span
-// (a "cell" span from RunExperiment).
-func collectDatasetSpanned(parent *obs.Span, scn Scenario, sc Scale) (*trace.Store, error) {
-	st, _, err := collectDatasetInfo(parent, scn, sc)
+// Datasets are memoized in the runner's content-addressed cache, keyed by
+// the scenario's observable behavior and the scale, so experiment grids
+// that revisit the same (scenario, scale) point simulate it once. Callers
+// share the cached store, which is sealed: it never changes, even when the
+// cache later demotes its entry to disk.
+func (r Runner) CollectDataset(scn Scenario, sc Scale) (*trace.Store, error) {
+	st, _, err := r.collectDatasetInfo(nil, scn, sc)
 	return st, err
 }
 
@@ -276,7 +270,7 @@ type collectInfo struct {
 // cache, and slot-held compute time — and the same facts are returned so
 // cell runners can build manifest rows without re-deriving them from
 // spans.
-func collectDatasetInfo(parent *obs.Span, scn Scenario, sc Scale) (*trace.Store, collectInfo, error) {
+func (r Runner) collectDatasetInfo(parent *obs.Span, scn Scenario, sc Scale) (*trace.Store, collectInfo, error) {
 	var info collectInfo
 	if err := sc.Validate(); err != nil {
 		return nil, info, err
@@ -289,9 +283,9 @@ func collectDatasetInfo(parent *obs.Span, scn Scenario, sc Scale) (*trace.Store,
 	ran := false
 	var busy int64
 	key := datasetCacheKey(scn, sc)
-	st, err := dsCache.getOrCollect(key, func() (*trace.Store, error) {
+	st, err := r.Cache.getOrCollect(key, func() (*trace.Store, error) {
 		ran = true
-		st, b, err := collectDataset(scn, sc, sp, dsCache.planSpill(key, datasetJobCount(sc), scn.traceCapacity()))
+		st, b, err := collectDataset(scn, sc, sp, r.Cache.planSpill(key, datasetJobCount(sc), scn.traceCapacity()))
 		busy = b
 		return st, err
 	})

@@ -101,7 +101,7 @@ func TestCollectOneShape(t *testing.T) {
 }
 
 func TestCollectDatasetShape(t *testing.T) {
-	ds, err := CollectDataset(tinyScenario("dataset"), tinyScale)
+	ds, err := (Runner{}).CollectDataset(tinyScenario("dataset"), tinyScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCollectDatasetShape(t *testing.T) {
 func TestCollectDatasetOpenWorld(t *testing.T) {
 	sc := tinyScale
 	sc.OpenWorld = 6
-	ds, err := CollectDataset(tinyScenario("openworld"), sc)
+	ds, err := (Runner{}).CollectDataset(tinyScenario("openworld"), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCollectDatasetOpenWorld(t *testing.T) {
 }
 
 func TestRunExperimentClosedWorld(t *testing.T) {
-	res, err := RunExperiment(tinyScenario("tiny-closed"), tinyScale, nil)
+	res, err := (Runner{}).RunExperiment(tinyScenario("tiny-closed"), tinyScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestRunExperimentClosedWorld(t *testing.T) {
 func TestRunExperimentOpenWorld(t *testing.T) {
 	sc := tinyScale
 	sc.OpenWorld = 8
-	res, err := RunExperiment(tinyScenario("tiny-open"), sc, nil)
+	res, err := (Runner{}).RunExperiment(tinyScenario("tiny-open"), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCompareSignificance(t *testing.T) {
 }
 
 func TestTable2Tiny(t *testing.T) {
-	rows, err := Table2(tinyScale)
+	rows, err := (Runner{}).Table2(tinyScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestTable2Tiny(t *testing.T) {
 }
 
 func TestTable3Tiny(t *testing.T) {
-	rows, err := Table3(tinyScale)
+	rows, err := (Runner{}).Table3(tinyScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTable3Tiny(t *testing.T) {
 
 func TestTable4Tiny(t *testing.T) {
 	sc := tinyScale
-	rows, err := Table4(sc)
+	rows, err := (Runner{}).Table4(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestFigure3(t *testing.T) {
 }
 
 func TestFigure4(t *testing.T) {
-	series, err := Figure4(4, 7)
+	series, err := (Runner{}).Figure4(4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestFigure4(t *testing.T) {
 			t.Fatalf("%s: series lengths %d/%d", s.Site, len(s.Loop), len(s.Sweep))
 		}
 	}
-	if _, err := Figure4(1, 7); err == nil {
+	if _, err := (Runner{}).Figure4(1, 7); err == nil {
 		t.Fatal("runs=1 accepted")
 	}
 }
@@ -495,7 +495,7 @@ func TestInterruptSignatures(t *testing.T) {
 }
 
 func TestBackgroundNoiseExperiment(t *testing.T) {
-	res, err := BackgroundNoise(Scale{Sites: 6, TracesPerSite: 6, Folds: 3, Seed: 13})
+	res, err := (Runner{}).BackgroundNoise(Scale{Sites: 6, TracesPerSite: 6, Folds: 3, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestTable1TinyTwoConfigs(t *testing.T) {
 		t.Skip("slow: runs 8 browser×OS configs")
 	}
 	sc := Scale{Sites: 3, TracesPerSite: 3, OpenWorld: 4, Folds: 3, Seed: 15}
-	rows, err := Table1(sc)
+	rows, err := (Runner{}).Table1(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,14 +538,14 @@ func TestTable1TinyTwoConfigs(t *testing.T) {
 
 func TestStability(t *testing.T) {
 	scn := tinyScenario("stability")
-	sum, err := Stability(scn, tinyScale, []uint64{1, 2, 3})
+	sum, err := (Runner{}).Stability(scn, tinyScale, []uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.Mean <= 0 || sum.Mean > 100 {
 		t.Fatalf("stability mean = %v", sum.Mean)
 	}
-	if _, err := Stability(scn, tinyScale, []uint64{1}); err == nil {
+	if _, err := (Runner{}).Stability(scn, tinyScale, []uint64{1}); err == nil {
 		t.Fatal("single seed accepted")
 	}
 }

@@ -14,24 +14,19 @@ import (
 	"repro/internal/trace"
 )
 
-// dsCache memoizes collected datasets within the process. Experiment grids
+// DatasetCache memoizes collected datasets for a Runner. Experiment grids
 // revisit (scenario, scale) points constantly — Table 1's rows share their
 // closed-world cells with Figure 3's, significance tests re-run cells — and
-// every revisit would otherwise re-simulate thousands of traces. The entry
-// cap is small because full-scale datasets run to hundreds of megabytes;
-// the byte budget (SetDatasetCacheBudget) bounds resident memory exactly,
-// demoting cold entries to mmap-backed shard files when a spill directory
-// is configured instead of dropping them.
-var dsCache = newDatasetCache(8)
-
-// datasetCache is a content-addressed, singleflight, LRU-bounded dataset
-// store. Concurrent requests for the same key block on one collection.
-// Capacity is two-dimensional: an entry count (cap) and a resident-byte
-// budget measured from each entry's columnar store. Overflowing the budget
-// demotes LRU entries to shard files under spillDir (resident drops to
-// metadata; the mmap'd values stay servable as a second cache tier) or, with
-// no spill directory, evicts them.
-type datasetCache struct {
+// every revisit would otherwise re-simulate thousands of traces.
+//
+// It is a content-addressed, singleflight, LRU-bounded store: concurrent
+// requests for the same key block on one collection. Capacity is
+// two-dimensional: an entry count and a resident-byte budget measured from
+// each entry's columnar store. Overflowing the budget demotes LRU entries
+// to shard files under the spill directory (resident drops to metadata;
+// the mmap'd values stay servable as a second cache tier) or, with no
+// spill directory, evicts them. A nil *DatasetCache caches nothing.
+type DatasetCache struct {
 	mu       sync.Mutex
 	cap      int
 	budget   int64  // resident-byte budget; 0 = unlimited
@@ -46,47 +41,23 @@ type dsEntry struct {
 	err   error
 }
 
-func newDatasetCache(capacity int) *datasetCache {
-	return &datasetCache{cap: capacity, entries: make(map[uint64]*dsEntry)}
-}
-
-// SetDatasetCacheCapacity bounds how many datasets the in-process collection
-// cache retains (default 8). Zero disables caching entirely — every
-// CollectDataset call re-simulates — which benchmarks and memory-constrained
-// full-scale runs use.
-func SetDatasetCacheCapacity(n int) {
-	dsCache.mu.Lock()
-	defer dsCache.mu.Unlock()
-	dsCache.cap = n
-	dsCache.evictLocked()
-}
-
-// SetDatasetCacheBudget bounds the dataset cache's resident bytes (0 =
-// unlimited, the default). When cached datasets exceed the budget, cold
-// entries are spilled to shard files (if a spill directory is set) or
-// evicted; datasets whose value block alone exceeds the budget are
+// NewDatasetCache returns a cache retaining at most entries datasets (0
+// re-simulates every request, as memory-constrained full-scale runs want)
+// and at most budget resident bytes (0 = unlimited). Cold entries beyond
+// the budget are demoted to shard files under spillDir, or evicted when
+// spillDir is ""; datasets whose value block alone exceeds the budget are
 // collected straight to disk through a bounded window (see SpillBuilder).
-func SetDatasetCacheBudget(bytes int64) {
-	dsCache.mu.Lock()
-	defer dsCache.mu.Unlock()
-	dsCache.budget = bytes
-	dsCache.evictLocked()
-}
-
-// SetDatasetCacheSpillDir sets the directory for spilled dataset shard
-// files ("" disables the disk tier). Files are content-addressed by the
-// dataset cache key, so later runs (and evict-then-recollect cycles) reload
-// them by mmap instead of re-simulating.
-func SetDatasetCacheSpillDir(dir string) {
-	dsCache.mu.Lock()
-	defer dsCache.mu.Unlock()
-	dsCache.spillDir = dir
+// Shard files are content-addressed by the cache key, so later runs (and
+// evict-then-recollect cycles) reload them by mmap instead of
+// re-simulating.
+func NewDatasetCache(entries int, budget int64, spillDir string) *DatasetCache {
+	return &DatasetCache{cap: entries, budget: budget, spillDir: spillDir, entries: make(map[uint64]*dsEntry)}
 }
 
 // shardPath returns the content-addressed shard file path for key, or ""
 // when no spill directory is configured.
-func (c *datasetCache) shardPath(key uint64) string {
-	if c.spillDir == "" {
+func (c *DatasetCache) shardPath(key uint64) string {
+	if c == nil || c.spillDir == "" {
 		return ""
 	}
 	return filepath.Join(c.spillDir, fmt.Sprintf("ds-%016x.trst", key))
@@ -104,7 +75,10 @@ type spillPlan struct {
 // directory are configured and the value block alone would bust the
 // budget. The window is sized to half the budget (at least two rows per
 // CPU so collection still parallelizes).
-func (c *datasetCache) planSpill(key uint64, nTraces, stride int) *spillPlan {
+func (c *DatasetCache) planSpill(key uint64, nTraces, stride int) *spillPlan {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	valBytes := int64(nTraces) * int64(stride) * 8
@@ -126,7 +100,7 @@ func (c *datasetCache) planSpill(key uint64, nTraces, stride int) *spillPlan {
 }
 
 // touchLocked moves key to the most-recently-used position.
-func (c *datasetCache) touchLocked(key uint64) {
+func (c *DatasetCache) touchLocked(key uint64) {
 	for i, k := range c.order {
 		if k == key {
 			c.order = append(append(c.order[:i:i], c.order[i+1:]...), key)
@@ -146,7 +120,7 @@ func entryBytes(e *dsEntry) int64 {
 
 // residentLocked sums resident bytes over finished entries and refreshes
 // the gauge.
-func (c *datasetCache) residentLocked() int64 {
+func (c *DatasetCache) residentLocked() int64 {
 	var total int64
 	for _, e := range c.entries {
 		select {
@@ -165,7 +139,7 @@ func (c *datasetCache) residentLocked() int64 {
 // directory is set) and evicts only what it cannot demote. In-flight
 // entries are never touched: their waiters hold the entry pointer and
 // eviction would let a duplicate collection start.
-func (c *datasetCache) evictLocked() {
+func (c *DatasetCache) evictLocked() {
 	finished := func(e *dsEntry) bool {
 		select {
 		case <-e.ready:
@@ -253,7 +227,11 @@ func (c *datasetCache) evictLocked() {
 // Before collecting, the disk tier is consulted: a content-addressed shard
 // file left by an earlier spill (or an earlier process) is mmap'd back
 // instead of re-simulating. Failed collections are not cached.
-func (c *datasetCache) getOrCollect(key uint64, collect func() (*trace.Store, error)) (*trace.Store, error) {
+func (c *DatasetCache) getOrCollect(key uint64, collect func() (*trace.Store, error)) (*trace.Store, error) {
+	if c == nil {
+		cDSBypass.Inc()
+		return collect()
+	}
 	c.mu.Lock()
 	if c.cap <= 0 {
 		c.mu.Unlock()

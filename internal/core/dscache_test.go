@@ -19,11 +19,12 @@ func shortScenario(name string) Scenario {
 func TestDatasetCacheMemoizes(t *testing.T) {
 	scn := shortScenario("dscache/hit")
 	sc := Scale{Sites: 2, TracesPerSite: 1, Folds: 2, Seed: 17}
-	ds1, err := CollectDataset(scn, sc)
+	r := Runner{Cache: NewDatasetCache(8, 0, "")}
+	ds1, err := r.CollectDataset(scn, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds2, err := CollectDataset(scn, sc)
+	ds2, err := r.CollectDataset(scn, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestDatasetCacheKeySensitivity(t *testing.T) {
 }
 
 func TestDatasetCacheSingleflight(t *testing.T) {
-	cache := newDatasetCache(4)
+	cache := NewDatasetCache(4, 0, "")
 	var mu sync.Mutex
 	calls := 0
 	var wg sync.WaitGroup
@@ -95,7 +96,7 @@ func TestDatasetCacheSingleflight(t *testing.T) {
 }
 
 func TestDatasetCacheEviction(t *testing.T) {
-	cache := newDatasetCache(2)
+	cache := NewDatasetCache(2, 0, "")
 	collected := 0
 	get := func(key uint64) {
 		_, _ = cache.getOrCollect(key, func() (*trace.Store, error) {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -23,42 +24,13 @@ func DefaultClassifier(seed uint64) ml.Classifier {
 	return &ml.NearestCentroid{Prep: ml.DefaultPreprocessor}
 }
 
-// defaultClassifierOverride, when non-nil, replaces the built-in default
-// for every Evaluate call with a nil maker — including all table and figure
-// experiments, which is how cmd/experiments' -clf flag swaps the whole
-// run's classifier.
-var defaultClassifierOverride ClassifierMaker
-
-// SetDefaultClassifier overrides the classifier used when callers pass a
-// nil maker. Passing nil restores the built-in default (nearest centroid;
-// threshold-rejection variant on open-world datasets). Not safe to call
-// concurrently with running experiments.
-func SetDefaultClassifier(mk ClassifierMaker) { defaultClassifierOverride = mk }
-
-// defaultClassifierName mirrors the override by name so dispatched cell
-// specs can carry this process's classifier choice to worker replicas
-// (an override function can't travel over the wire).
-var defaultClassifierName string
-
-// ConfigureClassifier resolves a classifier name (the -clf vocabulary)
-// and installs it as the run-wide default, recording the name so
-// RunCellSpecs stamps it into dispatched cells. Not safe to call
-// concurrently with running experiments.
-func ConfigureClassifier(name string) error {
-	mk, err := ClassifierByName(name)
-	if err != nil {
-		return err
-	}
-	SetDefaultClassifier(mk)
-	defaultClassifierName = name
-	return nil
-}
-
-// ClassifierByName maps a command-line name to a ClassifierMaker. The empty
-// string and "centroid" return a nil maker, i.e. the built-in default.
-// Gradient-trained classifiers ("logreg", "cnn") exercise ml.Fit and so
-// populate the epoch-loss metrics and ml.fit spans in run manifests.
-func ClassifierByName(name string) (ClassifierMaker, error) {
+// ClassifierByName maps a command-line name to a ClassifierMaker whose
+// gradient-trained classifiers score on the given inference tier. The
+// empty string and "centroid" return a nil maker, i.e. the built-in
+// default. Gradient-trained classifiers ("logreg", "cnn") exercise ml.Fit
+// and so populate the epoch-loss metrics and ml.fit spans in run
+// manifests.
+func ClassifierByName(name string, tier ml.InferTier) (ClassifierMaker, error) {
 	switch name {
 	case "", "centroid", "nearest-centroid":
 		return nil, nil
@@ -68,37 +40,14 @@ func ClassifierByName(name string) (ClassifierMaker, error) {
 		}, nil
 	case "logreg":
 		return func(seed uint64) ml.Classifier {
-			return &ml.LogReg{Prep: ml.DefaultPreprocessor, Seed: seed}
+			return &ml.LogReg{Prep: ml.DefaultPreprocessor, Seed: seed, Tier: tier}
 		}, nil
 	case "cnn", "cnn-lstm":
 		return func(seed uint64) ml.Classifier {
-			return &ml.CNNLSTM{Prep: ml.DefaultPreprocessor, Seed: seed}
+			return &ml.CNNLSTM{Prep: ml.DefaultPreprocessor, Seed: seed, Tier: tier}
 		}, nil
 	}
 	return nil, fmt.Errorf("core: unknown classifier %q (want centroid, knn, logreg, or cnn)", name)
-}
-
-// ConfigureInference selects the inference engine for gradient-trained
-// classifiers and its intra-op worker count, mirroring cmd/experiments'
-// -infer/-inferpar flags. mode "" or "compiled" uses the frozen float32
-// fast path (argmax-equivalent to the reference — see DESIGN.md); "int8"
-// uses the quantized tier (falling back through compiled when a model
-// doesn't quantize — see DESIGN.md "Quantized inference"); "reference"
-// forces the float64 training-graph forward pass. par ≤ 0 means GOMAXPROCS.
-// The underlying knobs are atomic, so reconfiguring mid-run is safe.
-func ConfigureInference(mode string, par int) error {
-	switch mode {
-	case "", "compiled":
-		ml.SetInferTier(ml.TierCompiled)
-	case "int8":
-		ml.SetInferTier(ml.TierInt8)
-	case "reference":
-		ml.SetInferTier(ml.TierReference)
-	default:
-		return fmt.Errorf("core: unknown inference mode %q (want compiled, int8, or reference)", mode)
-	}
-	ml.SetInferParallelism(par)
-	return nil
 }
 
 // Result summarizes one experiment's cross-validated accuracy.
@@ -137,12 +86,7 @@ func (r Result) String() string {
 // datasets use DefaultClassifier and open-world ones its threshold-reject
 // variant (ml.OpenWorldCentroid).
 func Evaluate(st *trace.Store, sc Scale, mk ClassifierMaker, name string) (Result, error) {
-	return evaluateSpanned(nil, st, sc, mk, name)
-}
-
-// evaluateSpanned is Evaluate under an optional parent span.
-func evaluateSpanned(parent *obs.Span, st *trace.Store, sc Scale, mk ClassifierMaker, name string) (Result, error) {
-	res, _, err := evaluateInfo(parent, st, sc, mk, name)
+	res, _, err := evaluateInfo(nil, st, sc, mk, name)
 	return res, err
 }
 
@@ -152,9 +96,6 @@ func evaluateSpanned(parent *obs.Span, st *trace.Store, sc Scale, mk ClassifierM
 // cell runners can build manifest rows without re-deriving them from
 // spans.
 func evaluateInfo(parent *obs.Span, st *trace.Store, sc Scale, mk ClassifierMaker, name string) (Result, int64, error) {
-	if mk == nil {
-		mk = defaultClassifierOverride
-	}
 	openWorld := st.NumClasses() == sc.Sites+1
 	if mk == nil {
 		if openWorld {
@@ -300,26 +241,51 @@ func evaluateInfo(parent *obs.Span, st *trace.Store, sc Scale, mk ClassifierMake
 	return res, busyNS.Load(), nil
 }
 
-// RunExperiment collects a dataset for the scenario and evaluates it —
-// the full offline-training + online-attack pipeline of §4.1. Each call
-// records a "cell" span whose "collect"/"evaluate" children become one row
-// of the run manifest's per-cell summary.
-func RunExperiment(scn Scenario, sc Scale, mk ClassifierMaker) (Result, error) {
+// RunExperiment collects a dataset for the scenario and evaluates it with
+// the runner's classifier — the full offline-training + online-attack
+// pipeline of §4.1. Each call records a "cell" span whose
+// "collect"/"evaluate" children become one row of the run manifest's
+// per-cell summary.
+func (r Runner) RunExperiment(scn Scenario, sc Scale) (Result, error) {
+	mk, err := ClassifierByName(r.Classifier, r.Tier)
+	if err != nil {
+		return Result{}, err
+	}
+	res, _, err := r.experiment(scn, sc, mk)
+	return res, err
+}
+
+// experiment is RunExperiment with an explicit maker, also returning the
+// cell's manifest row: the row is built from the collect/evaluate facts
+// directly rather than re-derived from spans, so workers with bounded
+// tracers still report every cell.
+func (r Runner) experiment(scn Scenario, sc Scale, mk ClassifierMaker) (Result, *obs.CellSummary, error) {
+	t0 := time.Now()
 	sp := obs.StartSpan(nil, "cell")
 	sp.SetAttr("scenario", scn.Name)
 	defer sp.End()
-	st, err := collectDatasetSpanned(sp, scn, sc)
+	st, info, err := r.collectDatasetInfo(sp, scn, sc)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
-		return Result{}, err
+		return Result{}, nil, err
 	}
-	res, err := evaluateSpanned(sp, st, sc, mk, scn.Name)
+	res, evalBusy, err := evaluateInfo(sp, st, sc, mk, scn.Name)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	sp.SetAttr("top1_mean", res.Top1.Mean).SetAttr("top5_mean", res.Top5.Mean)
-	return res, nil
+	return res, &obs.CellSummary{
+		Scenario:       scn.Name,
+		WallMS:         float64(time.Since(t0).Nanoseconds()) / 1e6,
+		CPUMS:          float64(info.busyNS+evalBusy) / 1e6,
+		Traces:         st.Len(),
+		TrimmedSamples: st.TrimmedSamples(),
+		Cached:         info.cached,
+		Folds:          sc.Folds,
+		Top1Mean:       res.Top1.Mean,
+		Top5Mean:       res.Top5.Mean,
+	}, nil
 }
 
 // CompareSignificance runs the paper's two-sample t-test between two
@@ -374,7 +340,7 @@ func TopConfusions(cm *stats.ConfusionMatrix, labels []string, k int) []Confusio
 // Stability reruns an experiment across several seeds and summarizes the
 // spread of its top-1 accuracy — the tool behind the "seeds change results
 // by roughly the printed ±" claim in EXPERIMENTS.md.
-func Stability(scn Scenario, sc Scale, seeds []uint64) (stats.Summary, error) {
+func (r Runner) Stability(scn Scenario, sc Scale, seeds []uint64) (stats.Summary, error) {
 	if len(seeds) < 2 {
 		return stats.Summary{}, fmt.Errorf("core: Stability needs at least 2 seeds")
 	}
@@ -382,7 +348,7 @@ func Stability(scn Scenario, sc Scale, seeds []uint64) (stats.Summary, error) {
 	for _, seed := range seeds {
 		s := sc
 		s.Seed = seed
-		res, err := RunExperiment(scn, s, nil)
+		res, err := r.RunExperiment(scn, s)
 		if err != nil {
 			return stats.Summary{}, err
 		}

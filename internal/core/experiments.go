@@ -13,9 +13,10 @@ import (
 // scenarios at the given scale and returns printable rows; EXPERIMENTS.md
 // records the paper-vs-measured comparison.
 //
-// Tables build their grids as wire-safe CellSpecs and hand them to
-// scatterCells, so the same grid runs through the local cell pool or —
-// when a dispatcher is installed — across worker replicas (internal/dist).
+// Tables build their grids as wire-safe CellSpecs carrying the runner's
+// classifier and tier and hand them to scatterCells, so the same grid runs
+// through the local cell pool or — when the runner has a dispatcher —
+// across worker replicas (internal/dist).
 
 // Table1Config is one (browser, OS) row of Table 1.
 type Table1Config struct {
@@ -66,7 +67,7 @@ func (r Table1Row) String() string {
 // Table1 reproduces "Classification accuracy obtained with JavaScript
 // loop-counting attacker" across browser×OS combinations. Open-world runs
 // are skipped when sc.OpenWorld is 0.
-func Table1(sc Scale) ([]Table1Row, error) {
+func (r Runner) Table1(sc Scale) ([]Table1Row, error) {
 	cfgs := Table1Configs()
 	rows := make([]Table1Row, len(cfgs))
 	closedScale := sc
@@ -74,7 +75,7 @@ func Table1(sc Scale) ([]Table1Row, error) {
 	var specs []CellSpec
 	var dsts []*Result
 	cell := func(scn ScenarioSpec, scale Scale, dst *Result) {
-		specs = append(specs, CellSpec{Scenario: scn, Scale: scale})
+		specs = append(specs, r.experimentCell(scn, scale))
 		dsts = append(dsts, dst)
 	}
 	for i, cfg := range cfgs {
@@ -104,7 +105,7 @@ func Table1(sc Scale) ([]Table1Row, error) {
 			cell(sweepOpen, sc, &rows[i].OpenSweep)
 		}
 	}
-	if err := scatterCells(specs, dsts, sc.CellParallelism); err != nil {
+	if err := r.scatterCells(specs, dsts, sc.CellParallelism); err != nil {
 		return nil, err
 	}
 	for i := range rows {
@@ -131,7 +132,7 @@ func (r Table2Row) String() string {
 // different sources of noise": loop- and sweep-counting under no noise,
 // cache-sweep noise, and interrupt noise, all on Chrome/Linux (§4.3 runs
 // this controlled comparison on a single machine).
-func Table2(sc Scale) ([]Table2Row, error) {
+func (r Runner) Table2(sc Scale) ([]Table2Row, error) {
 	sc.OpenWorld = 0
 	// Full capacity up front: dsts hold pointers into rows, so the backing
 	// array must never reallocate.
@@ -153,11 +154,11 @@ func Table2(sc Scale) ([]Table2Row, error) {
 				scn.InterruptNoise = true
 			}
 			rows = append(rows, Table2Row{Attack: kind, Noise: noise})
-			specs = append(specs, CellSpec{Scenario: scn, Scale: sc})
+			specs = append(specs, r.experimentCell(scn, sc))
 			dsts = append(dsts, &rows[len(rows)-1].Result)
 		}
 	}
-	if err := scatterCells(specs, dsts, sc.CellParallelism); err != nil {
+	if err := r.scatterCells(specs, dsts, sc.CellParallelism); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -176,7 +177,7 @@ func (r Table3Row) String() string {
 // Table3 reproduces "Classification accuracy obtained with Python
 // loop-counting attacker under various isolation mechanisms". Each step
 // adds one mechanism to all previous ones (§5.1).
-func Table3(sc Scale) ([]Table3Row, error) {
+func (r Runner) Table3(sc Scale) ([]Table3Row, error) {
 	sc.OpenWorld = 0
 	base := ScenarioSpec{
 		OS:      "linux",
@@ -203,10 +204,10 @@ func Table3(sc Scale) ([]Table3Row, error) {
 		st.apply(&scn) // cumulative: each step keeps all previous mechanisms
 		scn.Name = fmt.Sprintf("t3/%d-%s", i, st.name)
 		rows[i].Mechanism = st.name
-		specs[i] = CellSpec{Scenario: scn, Scale: sc}
+		specs[i] = r.experimentCell(scn, sc)
 		dsts[i] = &rows[i].Result
 	}
-	if err := scatterCells(specs, dsts, sc.CellParallelism); err != nil {
+	if err := r.scatterCells(specs, dsts, sc.CellParallelism); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -229,7 +230,7 @@ func (r Table4Row) String() string {
 // loop-counting attacker with different timers": Chrome's jittered timer,
 // a Tor-style 100 ms quantized timer, and the paper's randomized timer at
 // P ∈ {5, 100, 500} ms (§6.1).
-func Table4(sc Scale) ([]Table4Row, error) {
+func (r Runner) Table4(sc Scale) ([]Table4Row, error) {
 	sc.OpenWorld = 0
 	base := ScenarioSpec{
 		OS:      "linux",
@@ -261,10 +262,10 @@ func Table4(sc Scale) ([]Table4Row, error) {
 		rows[i] = Table4Row{
 			Timer: c.name, DeltaMS: c.deltaMS, PeriodMS: c.period.Milliseconds(),
 		}
-		specs[i] = CellSpec{Scenario: scn, Scale: sc}
+		specs[i] = r.experimentCell(scn, sc)
 		dsts[i] = &rows[i].Result
 	}
-	if err := scatterCells(specs, dsts, sc.CellParallelism); err != nil {
+	if err := r.scatterCells(specs, dsts, sc.CellParallelism); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -282,7 +283,7 @@ func (r BackgroundNoiseResult) String() string {
 }
 
 // BackgroundNoise runs the robustness experiment on Chrome/Linux.
-func BackgroundNoise(sc Scale) (BackgroundNoiseResult, error) {
+func (r Runner) BackgroundNoise(sc Scale) (BackgroundNoiseResult, error) {
 	sc.OpenWorld = 0
 	base := ScenarioSpec{OS: "linux", Browser: "chrome", Attack: "loop"}
 	quiet := base
@@ -291,12 +292,9 @@ func BackgroundNoise(sc Scale) (BackgroundNoiseResult, error) {
 	noisy.Name = "bgnoise/slack-spotify"
 	noisy.BackgroundNoise = true
 	var res BackgroundNoiseResult
-	specs := []CellSpec{
-		{Scenario: quiet, Scale: sc},
-		{Scenario: noisy, Scale: sc},
-	}
+	specs := []CellSpec{r.experimentCell(quiet, sc), r.experimentCell(noisy, sc)}
 	dsts := []*Result{&res.Quiet, &res.Noisy}
-	if err := scatterCells(specs, dsts, sc.CellParallelism); err != nil {
+	if err := r.scatterCells(specs, dsts, sc.CellParallelism); err != nil {
 		return BackgroundNoiseResult{}, err
 	}
 	return res, nil

@@ -51,15 +51,15 @@ type Figure4Series struct {
 // averaged over `runs` visits per site, normalized by each attacker's
 // maximum, with the correlation coefficient the paper reports (r = 0.87,
 // 0.79, 0.94 for the three sites).
-func Figure4(runs int, seed uint64) ([]Figure4Series, error) {
+func (r Runner) Figure4(runs int, seed uint64) ([]Figure4Series, error) {
 	if runs < 2 {
 		return nil, fmt.Errorf("core: Figure4 needs at least 2 runs")
 	}
 	out := make([]Figure4Series, len(FigureSites))
 	kinds := []string{"loop", "sweep"}
 	// One "meantrace" cell per (site, attacker) pair: cells pipeline
-	// concurrently (or across worker replicas when a dispatcher is
-	// installed) while per-visit compute stays bounded by the global slot
+	// concurrently (or across worker replicas when the runner has a
+	// dispatcher) while per-visit compute stays bounded by the global slot
 	// pool, and each cell reuses a single machine arena across its visits.
 	specs := make([]CellSpec, 0, len(FigureSites)*len(kinds))
 	for _, site := range FigureSites {
@@ -76,24 +76,24 @@ func Figure4(runs int, seed uint64) ([]Figure4Series, error) {
 			})
 		}
 	}
-	results, err := RunCellSpecs(specs, 0)
+	results, err := r.RunCells(specs, 0)
 	if err != nil {
 		return nil, err
 	}
-	for ci, r := range results {
+	for ci, res := range results {
 		if ci%len(kinds) == 0 {
-			out[ci/len(kinds)].Loop = r.Series
+			out[ci/len(kinds)].Loop = res.Series
 		} else {
-			out[ci/len(kinds)].Sweep = r.Series
+			out[ci/len(kinds)].Sweep = res.Series
 		}
 	}
 	for i, site := range FigureSites {
 		out[i].Site = site
-		r, err := stats.Pearson(out[i].Loop, out[i].Sweep)
+		corr, err := stats.Pearson(out[i].Loop, out[i].Sweep)
 		if err != nil {
 			return nil, err
 		}
-		out[i].Correlation = r
+		out[i].Correlation = corr
 	}
 	return out, nil
 }

@@ -7,6 +7,18 @@ import (
 	"repro/internal/ml"
 )
 
+// scoreOn scores values through a trained LogReg or CNNLSTM on the given
+// inference tier with par workers.
+func scoreOn(clf ml.Classifier, tier ml.InferTier, par int, values [][]float64) [][]float64 {
+	switch c := clf.(type) {
+	case *ml.LogReg:
+		c.Tier, c.Parallelism = tier, par
+	case *ml.CNNLSTM:
+		c.Tier, c.Parallelism = tier, par
+	}
+	return clf.(ml.BatchScorer).ScoresBatch(values)
+}
+
 // scoreArgmax returns the top class per score row.
 func scoreArgmax(scores [][]float64) []int {
 	out := make([]int, len(scores))
@@ -29,13 +41,7 @@ func scoreArgmax(scores [][]float64) []int {
 // CompiledModel, at serial and parallel intra-op worker counts. make ci
 // greps for this test's PASS line, so it must never be skipped.
 func TestCompiledReferenceEquivalence(t *testing.T) {
-	wasTier := ml.ActiveInferTier()
-	wasPar := ml.InferParallelism()
-	defer func() {
-		ml.SetInferTier(wasTier)
-		ml.SetInferParallelism(wasPar)
-	}()
-
+	t.Parallel()
 	for _, scn := range goldenGrid() {
 		scn := scn
 		t.Run(scn.Name, func(t *testing.T) {
@@ -60,18 +66,10 @@ func TestCompiledReferenceEquivalence(t *testing.T) {
 					t.Logf("%s: Fit: %v (equivalence vacuous)", name, err)
 					continue
 				}
-				bs, ok := clf.(ml.BatchScorer)
-				if !ok {
-					t.Fatalf("%s does not implement BatchScorer", name)
-				}
-				ml.SetInferTier(ml.TierReference)
-				ref := bs.ScoresBatch(values)
+				ref := scoreOn(clf, ml.TierReference, 0, values)
 				refTop := scoreArgmax(ref)
-
-				ml.SetInferTier(ml.TierCompiled)
 				for _, par := range []int{1, runtime.NumCPU()} {
-					ml.SetInferParallelism(par)
-					got := bs.ScoresBatch(values)
+					got := scoreOn(clf, ml.TierCompiled, par, values)
 					gotTop := scoreArgmax(got)
 					for i := range refTop {
 						if gotTop[i] != refTop[i] {

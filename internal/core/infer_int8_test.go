@@ -16,13 +16,7 @@ import (
 // measured rate — logged exactly — rather than a per-trace assertion.
 // make ci greps for this test's PASS line, so it must never be skipped.
 func TestInt8ReferenceAgreementRate(t *testing.T) {
-	wasTier := ml.ActiveInferTier()
-	wasPar := ml.InferParallelism()
-	defer func() {
-		ml.SetInferTier(wasTier)
-		ml.SetInferParallelism(wasPar)
-	}()
-
+	t.Parallel()
 	total, agree := 0, 0
 	for _, scn := range goldenGrid() {
 		ds, err := collectDatasetForTest(scn, goldenScale)
@@ -46,17 +40,9 @@ func TestInt8ReferenceAgreementRate(t *testing.T) {
 				t.Logf("%s/%s: Fit: %v (excluded from rate)", scn.Name, name, err)
 				continue
 			}
-			bs, ok := clf.(ml.BatchScorer)
-			if !ok {
-				t.Fatalf("%s does not implement BatchScorer", name)
-			}
-			ml.SetInferTier(ml.TierReference)
-			refTop := scoreArgmax(bs.ScoresBatch(values))
-
-			ml.SetInferTier(ml.TierInt8)
+			refTop := scoreArgmax(scoreOn(clf, ml.TierReference, 0, values))
 			for _, par := range []int{1, runtime.NumCPU()} {
-				ml.SetInferParallelism(par)
-				gotTop := scoreArgmax(bs.ScoresBatch(values))
+				gotTop := scoreArgmax(scoreOn(clf, ml.TierInt8, par, values))
 				for i := range refTop {
 					total++
 					if gotTop[i] == refTop[i] {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ml"
 	"repro/internal/obs"
 )
 
@@ -53,10 +52,10 @@ func init() {
 const traceSpanSample = 64
 
 // ProgressLine renders the pipeline's live one-line status: cell and fold
-// completion, traces simulated, dataset-cache effectiveness, and compute
-// slot occupancy. It is the render function cmd/experiments hands to
-// obs.StartReporter.
-func ProgressLine() string {
+// completion, traces simulated, dataset-cache effectiveness, compute slot
+// occupancy, and the runner's inference tier. It is the render function
+// cmd/experiments hands to obs.StartReporter.
+func (r Runner) ProgressLine() string {
 	hits, misses := cDSHits.Value(), cDSMisses.Value()
 	line := fmt.Sprintf("cells %d/%d | traces %d | folds %d | cache %dh/%dm",
 		cCellsCompleted.Value(), cCellsPlanned.Value(),
@@ -77,18 +76,15 @@ func ProgressLine() string {
 	if tr := cTrimmed.Value(); tr > 0 {
 		line += fmt.Sprintf(" | trimmed %d", tr)
 	}
-	line += " | infer " + ml.ActiveInferTier().String()
-	if par := ml.InferParallelism(); par > 0 {
-		line += fmt.Sprintf("/p%d", par)
-	}
-	return line
+	return line + " | infer " + r.Tier.String()
 }
 
 // ManifestSections summarizes the pipeline's subsystems for the run
 // manifest: slot-pool utilization (slot-held time over wall × capacity),
-// dataset-cache effectiveness, and simulated-event totals. wall is the
-// run's elapsed time; pass 0 to omit the utilization ratio.
-func ManifestSections(wall time.Duration) map[string]any {
+// dataset-cache effectiveness, simulated-event totals, and the runner's
+// inference tier. wall is the run's elapsed time; pass 0 to omit the
+// utilization ratio.
+func (r Runner) ManifestSections(wall time.Duration) map[string]any {
 	// The capacity gauge is re-stamped here because Registry.Reset zeroes
 	// gauge values set during init.
 	capacity := int64(cap(simSlots))
@@ -132,9 +128,6 @@ func ManifestSections(wall time.Duration) map[string]any {
 		},
 		// The configured tier; per-call fallbacks (models that fail to
 		// compile or quantize) show up in the ml.infer.cache.* counters.
-		"inference": map[string]any{
-			"tier":        ml.ActiveInferTier().String(),
-			"parallelism": ml.InferParallelism(),
-		},
+		"inference": map[string]any{"tier": r.Tier.String()},
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ml"
 	"repro/internal/obs"
 )
 
@@ -20,32 +21,27 @@ func TestObservedExperimentManifest(t *testing.T) {
 	obs.ResetWarnings()
 	obs.Enable()
 	defer obs.Disable()
-	mk, err := ClassifierByName("logreg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetDefaultClassifier(mk)
-	defer SetDefaultClassifier(nil)
+	r := Runner{Classifier: "logreg", Cache: NewDatasetCache(8, 0, "")}
 
 	scn := benchScenario()
 	scn.Name = "obs/manifest"
 	sc := benchCollectScale
-	sc.Seed = 4242 // private cache key: other tests must not satisfy this collect
+	sc.Seed = 4242
 	start := time.Now()
-	res, err := RunExperiment(scn, sc, nil)
+	res, err := r.RunExperiment(scn, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second run: collection must come from the dataset cache while
 	// evaluation recomputes, giving the manifest one cached and one
 	// uncached cell.
-	if _, err := RunExperiment(scn, sc, nil); err != nil {
+	if _, err := r.RunExperiment(scn, sc); err != nil {
 		t.Fatal(err)
 	}
 
 	m := obs.NewManifest("obs-test")
 	m.Config["scenario"] = scn.Name
-	m.Sections = ManifestSections(time.Since(start))
+	m.Sections = r.ManifestSections(time.Since(start))
 	m.Finish(obs.Default, obs.DefaultTracer, start)
 
 	if len(m.Cells) != 2 {
@@ -145,8 +141,8 @@ func TestObservedExperimentManifest(t *testing.T) {
 // TestProgressLine checks the live status line reflects the pipeline
 // counters it advertises.
 func TestProgressLine(t *testing.T) {
-	line := ProgressLine()
-	for _, want := range []string{"cells", "traces", "folds", "cache", "slots"} {
+	line := Runner{Tier: ml.TierInt8}.ProgressLine()
+	for _, want := range []string{"cells", "traces", "folds", "cache", "slots", "infer int8"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("ProgressLine() = %q, missing %q", line, want)
 		}

@@ -30,47 +30,33 @@ type ServingModel struct {
 	Traces [][]float64
 }
 
-// ParseServingTier maps the -infer flag's vocabulary onto the tiers a
-// serving daemon accepts. Unlike ConfigureInference, "reference" is an
-// error: serving requires a frozen artifact.
-func ParseServingTier(mode string) (ml.InferTier, error) {
-	switch mode {
-	case "", "int8":
-		return ml.TierInt8, nil
-	case "compiled":
-		return ml.TierCompiled, nil
-	case "reference":
-		return 0, fmt.Errorf("core: serving requires a compiled tier (want int8 or compiled)")
-	}
-	return 0, fmt.Errorf("core: unknown inference mode %q (want int8 or compiled)", mode)
-}
-
-// BuildServingModel collects a dataset for the scenario, trains the named
-// classifier on all of it, and freezes the fitted model at the requested
-// tier. Only gradient-trained classifiers can be frozen ("logreg",
-// "cnn"); the instance-based ones have no model to compile.
-func BuildServingModel(scn Scenario, sc Scale, clfName string, tier ml.InferTier) (*ServingModel, error) {
-	mk, err := ClassifierByName(clfName)
+// BuildServingModel collects a dataset for the scenario, trains the
+// runner's classifier on all of it, and freezes the fitted model at the
+// runner's tier. Only gradient-trained classifiers can be frozen
+// ("logreg", "cnn"); the instance-based ones have no model to compile, and
+// the reference tier has no frozen artifact.
+func (r Runner) BuildServingModel(scn Scenario, sc Scale) (*ServingModel, error) {
+	mk, err := ClassifierByName(r.Classifier, r.Tier)
 	if err != nil {
 		return nil, err
 	}
 	if mk == nil {
-		return nil, fmt.Errorf("core: classifier %q cannot be frozen for serving (want logreg or cnn)", clfName)
+		return nil, fmt.Errorf("core: classifier %q cannot be frozen for serving (want logreg or cnn)", r.Classifier)
 	}
 	clf := mk(sc.Seed)
 	fz, ok := clf.(ml.Freezer)
 	if !ok {
-		return nil, fmt.Errorf("core: classifier %q cannot be frozen for serving (want logreg or cnn)", clfName)
+		return nil, fmt.Errorf("core: classifier %q cannot be frozen for serving (want logreg or cnn)", r.Classifier)
 	}
 
-	st, err := CollectDataset(scn, sc)
+	st, err := r.CollectDataset(scn, sc)
 	if err != nil {
 		return nil, err
 	}
 	if err := clf.Fit(st.All()); err != nil {
 		return nil, fmt.Errorf("core: serving fit: %w", err)
 	}
-	frozen, got, err := fz.Frozen(tier)
+	frozen, got, err := fz.Frozen(r.Tier)
 	if err != nil {
 		return nil, err
 	}

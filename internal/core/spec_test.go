@@ -109,7 +109,7 @@ func TestSpecRoundTripRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunExperiment(scn, Scale{Sites: 3, TracesPerSite: 3, Folds: 3, Seed: 1}, nil)
+	res, err := (Runner{}).RunExperiment(scn, Scale{Sites: 3, TracesPerSite: 3, Folds: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

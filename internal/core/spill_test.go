@@ -81,11 +81,9 @@ func TestDatasetCacheBudgetDemotes(t *testing.T) {
 		return st
 	}
 
-	c := newDatasetCache(4)
-	c.spillDir = dir
-	one := mkDS(1)
 	// Budget: one resident entry fits, two do not.
-	c.budget = one.ResidentBytes() + one.ResidentBytes()/4
+	one := mkDS(1)
+	c := NewDatasetCache(4, one.ResidentBytes()+one.ResidentBytes()/4, dir)
 
 	ds1, err := c.getOrCollect(101, func() (*trace.Store, error) { return mkDS(1), nil })
 	if err != nil {
@@ -162,8 +160,7 @@ func TestDatasetCacheBudgetDemotes(t *testing.T) {
 
 	// A fresh cache (same spill dir) finds the shard on disk: the second
 	// cache tier survives eviction and process restarts.
-	c2 := newDatasetCache(4)
-	c2.spillDir = dir
+	c2 := NewDatasetCache(4, 0, dir)
 	hitsBefore := cDSDiskHits.Value()
 	reloaded, err := c2.getOrCollect(101, func() (*trace.Store, error) {
 		t.Fatal("disk tier missed; re-collected")

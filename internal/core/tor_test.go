@@ -14,7 +14,7 @@ func TestTorAccuracyBand(t *testing.T) {
 	}
 	sc := Scale{Sites: 10, TracesPerSite: 8, Folds: 4, Seed: 5}
 	scn := Scenario{Name: "torband", OS: kernel.Linux, Browser: browser.TorBrowser, Attack: LoopCounting}
-	res, err := RunExperiment(scn, sc, nil)
+	res, err := (Runner{}).RunExperiment(scn, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func normalizeRow(c obs.CellSummary) obs.CellSummary {
 // single-process run of the same grid.
 func TestDistManifestEquivalence(t *testing.T) {
 	grid := testGrid()
-	local, err := core.RunCellSpecs(grid, 0)
+	local, err := core.Runner{}.RunCells(grid, 0)
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestDistManifestEquivalence(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 	wait := StartInProcWorkers(co.Addr(), 2, WorkerOptions{
-		TelemetryInterval: 50 * time.Millisecond,
+		TelemetryInterval: 50 * time.Millisecond, Run: core.Runner{}.RunCell,
 	})
 	distributed, err := co.RunCells(grid, 0)
 	if err != nil {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -12,9 +13,9 @@ import (
 	"repro/internal/obs"
 )
 
-// WorkerOptions tunes one worker replica. The zero value is usable: name
-// host:pid, one lane, 1 Hz telemetry, ~10 s of dial retries, and cells run
-// through the local core pipeline.
+// WorkerOptions tunes one worker replica. Run is required; the other
+// fields default to name host:pid, one lane, 1 Hz telemetry, and ~10 s of
+// dial retries.
 type WorkerOptions struct {
 	// Name is the worker's telemetry source name; it must be unique within
 	// one coordinator's aggregation domain.
@@ -28,8 +29,10 @@ type WorkerOptions struct {
 	// DialBudget bounds how long the worker retries connecting before
 	// giving up — it covers the worker-before-coordinator start race.
 	DialBudget time.Duration
-	// Run executes one cell. Defaults to the real pipeline
-	// (core.RunCellsInProcess); tests substitute stubs.
+	// Run executes one cell: cmd/experiments passes the RunCell of the
+	// core.Runner it built from the worker's own flags (a Runner without a
+	// dispatcher, so a worker never dispatches back to a coordinator);
+	// tests substitute stubs.
 	Run func(core.CellSpec) (core.CellResult, error)
 }
 
@@ -46,21 +49,6 @@ func (o *WorkerOptions) applyDefaults() {
 	if o.DialBudget <= 0 {
 		o.DialBudget = 10 * time.Second
 	}
-	if o.Run == nil {
-		o.Run = defaultRun
-	}
-}
-
-// defaultRun executes one cell through the local pipeline, bypassing any
-// installed dispatcher (a worker must never dispatch back to a
-// coordinator) while still feeding core's planned/completed counters for
-// this worker's progress line and telemetry.
-func defaultRun(spec core.CellSpec) (core.CellResult, error) {
-	rs, err := core.RunCellsInProcess([]core.CellSpec{spec}, 1)
-	if err != nil {
-		return core.CellResult{}, err
-	}
-	return rs[0], nil
 }
 
 // worker is one live connection's state.
@@ -79,6 +67,9 @@ type worker struct {
 // DialBudget elapses; a connection lost mid-run is an error (the
 // coordinator requeues this worker's cells elsewhere).
 func RunWorker(addr string, opt WorkerOptions) error {
+	if opt.Run == nil {
+		return errors.New("dist: WorkerOptions.Run is required")
+	}
 	opt.applyDefaults()
 	conn, err := dialRetry(addr, opt.DialBudget)
 	if err != nil {

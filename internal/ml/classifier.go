@@ -225,8 +225,10 @@ type LogReg struct {
 	Epochs int
 	Seed   uint64
 	// Parallelism is the training/inference worker count (0 = GOMAXPROCS);
-	// the trained model is identical for every value.
+	// the trained model and its scores are identical for every value.
 	Parallelism int
+	// Tier is the inference tier ScoresBatch scores on (zero = compiled).
+	Tier InferTier
 
 	model *Sequential
 	cc    compiledCache
@@ -269,10 +271,10 @@ func (lr *LogReg) Scores(values []float64) []float64 {
 	return lr.model.Predict(x)
 }
 
-// ScoresBatch scores traces through the compiled fast path when enabled
-// (see BatchScorer and SetInferTier).
+// ScoresBatch scores traces on the regression's inference tier (see
+// BatchScorer and Tier).
 func (lr *LogReg) ScoresBatch(values [][]float64) [][]float64 {
-	return predictPrepped(lr.model, &lr.cc, lr.Prep, lr.inLen, values, lr.Parallelism)
+	return predictPrepped(lr.model, &lr.cc, lr.Prep, lr.inLen, values, lr.Tier, lr.Parallelism)
 }
 
 // CNNLSTM wraps PaperNet as a Classifier: the paper's architecture at a
@@ -288,8 +290,10 @@ type CNNLSTM struct {
 	LR   float64
 	Seed uint64
 	// Parallelism is the training/inference worker count (0 = GOMAXPROCS);
-	// the trained model is identical for every value.
+	// the trained model and its scores are identical for every value.
 	Parallelism int
+	// Tier is the inference tier ScoresBatch scores on (zero = compiled).
+	Tier InferTier
 
 	model *Sequential
 	cc    compiledCache
@@ -363,35 +367,34 @@ func (c *CNNLSTM) Scores(values []float64) []float64 {
 	return c.model.Predict(FromSeries(v))
 }
 
-// ScoresBatch scores traces through the compiled fast path when enabled
-// (see BatchScorer and SetInferTier).
+// ScoresBatch scores traces on the network's inference tier (see
+// BatchScorer and Tier).
 func (c *CNNLSTM) ScoresBatch(values [][]float64) [][]float64 {
-	return predictPrepped(c.model, &c.cc, c.Prep, c.inLen, values, c.Parallelism)
+	return predictPrepped(c.model, &c.cc, c.Prep, c.inLen, values, c.Tier, c.Parallelism)
 }
 
 // predictPrepped preprocesses every trace (padding/trimming to the trained
-// input length) and scores them through the active inference tier, falling
-// back one tier at a time when an artifact is unavailable: int8 needs the
-// model to both compile and quantize (calibration recorded at fit time),
-// compiled needs Compile to succeed, and the float64 reference path always
-// works. Artifacts are cached per fit generation in cc. par is the
-// reference path's sample-parallel worker count; the fast tiers use the
-// intra-op worker count from SetInferParallelism.
-func predictPrepped(model *Sequential, cc *compiledCache, prep Preprocessor, inLen int, values [][]float64, par int) [][]float64 {
+// input length) and scores them on the given tier, falling back one tier
+// at a time when an artifact is unavailable: int8 needs the model to both
+// compile and quantize (calibration recorded at fit time), compiled needs
+// Compile to succeed, and the float64 reference path always works.
+// Artifacts are cached per fit generation in cc. par is the worker count
+// of every tier (sample-parallel on the reference path, intra-op on the
+// fast tiers); scores are bit-identical for every value.
+func predictPrepped(model *Sequential, cc *compiledCache, prep Preprocessor, inLen int, values [][]float64, tier InferTier, par int) [][]float64 {
 	// One columnar arena holds every preprocessed sample (padded/trimmed to
 	// the trained length by the packer); the compiled tier scores its f32
 	// mirror directly, the other tiers its tensor headers.
 	s := PackValues(prep, inLen, values)
-	tier := ActiveInferTier()
-	if cc != nil && tier >= TierInt8 {
+	if tier == TierInt8 {
 		if qm := cc.getQuantized(model); qm != nil {
-			return qm.PredictBatch(s.X, InferParallelism())
+			return qm.PredictBatch(s.X, par)
 		}
 		noteFallback("int8")
 	}
-	if cc != nil && tier >= TierCompiled {
+	if tier != TierReference {
 		if cm := cc.get(model); cm != nil {
-			return cm.PredictSamples(s, InferParallelism())
+			return cm.PredictSamples(s, par)
 		}
 		noteFallback("compiled")
 	}
@@ -434,7 +437,7 @@ func frozenFrom(model *Sequential, cc *compiledCache, tier InferTier) (Frozen, I
 	if tier == TierReference {
 		return nil, TierReference, errors.New("ml: Frozen: serving requires a compiled tier")
 	}
-	if tier >= TierInt8 {
+	if tier == TierInt8 {
 		if qm := cc.getQuantized(model); qm != nil {
 			return qm, TierInt8, nil
 		}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -660,15 +659,17 @@ func (st *denseStage) forward(sc *inferScratch, si int, x []float32, rows, cols,
 }
 
 // InferTier selects how the classifier layer (LogReg, CNNLSTM) scores
-// batches: the float64 reference path, the compiled f32 fast path, or the
-// int8 quantized tier (which falls back through compiled to reference when
-// quantization is unavailable for a model).
+// batches: the compiled f32 fast path, the int8 quantized tier (which
+// falls back through compiled to reference when quantization is
+// unavailable for a model), or the float64 reference path. The zero value
+// is the compiled tier, so a classifier built without naming a tier
+// scores on it.
 type InferTier int32
 
 const (
-	TierReference InferTier = iota
-	TierCompiled
+	TierCompiled InferTier = iota
 	TierInt8
+	TierReference
 )
 
 // String names the tier as run manifests and -infer flags spell it.
@@ -684,28 +685,19 @@ func (t InferTier) String() string {
 	return fmt.Sprintf("tier(%d)", int32(t))
 }
 
-// Inference-mode selection. Both knobs are atomics: flipping them while
-// experiments are scoring is safe (each PredictBatch call reads a coherent
-// snapshot) — the TestInferKnobsRaceSafe contract.
-var (
-	inferTier atomic.Int32
-	inferPar  atomic.Int32
-)
-
-func init() { inferTier.Store(int32(TierCompiled)) }
-
-// SetInferTier selects the inference tier for classifier batch scoring.
-func SetInferTier(t InferTier) { inferTier.Store(int32(t)) }
-
-// ActiveInferTier returns the configured inference tier.
-func ActiveInferTier() InferTier { return InferTier(inferTier.Load()) }
-
-// SetInferParallelism sets the intra-op GEMM worker count used by compiled
-// inference (0 = GOMAXPROCS). Results are bit-identical for every value.
-func SetInferParallelism(par int) { inferPar.Store(int32(par)) }
-
-// InferParallelism returns the configured intra-op worker count.
-func InferParallelism() int { return int(inferPar.Load()) }
+// ParseInferTier maps the -infer vocabulary (and a CellSpec's infer field)
+// to a tier; the empty string is the compiled tier.
+func ParseInferTier(name string) (InferTier, error) {
+	switch name {
+	case "", "compiled":
+		return TierCompiled, nil
+	case "int8":
+		return TierInt8, nil
+	case "reference":
+		return TierReference, nil
+	}
+	return 0, fmt.Errorf("ml: unknown inference tier %q (want compiled, int8, or reference)", name)
+}
 
 // compiledCache lazily freezes a trained model into its fast inference
 // forms — compiled f32, and int8 on top of it — once per (model, fit

@@ -237,7 +237,7 @@ func TestCompileUnsupportedLayer(t *testing.T) {
 	}
 	// The dispatch helper must fall back to the reference path.
 	X := [][]float64{make([]float64, 8)}
-	probs := predictPrepped(model, &cc, Preprocessor{}, 8, X, 1)
+	probs := predictPrepped(model, &cc, Preprocessor{}, 8, X, TierCompiled, 1)
 	if len(probs) != 1 || len(probs[0]) != 4 {
 		t.Fatalf("fallback predictPrepped returned %v", probs)
 	}
@@ -283,22 +283,4 @@ func TestCompiledTrainedParity(t *testing.T) {
 				i, argmax(got[i]), argmax(ref[i]), got[i], ref[i])
 		}
 	}
-}
-
-// TestInferModeToggles covers the package-level mode switches used by
-// core.ConfigureInference.
-func TestInferModeToggles(t *testing.T) {
-	defer SetInferTier(ActiveInferTier())
-	defer SetInferParallelism(0)
-	for _, tier := range []InferTier{TierReference, TierInt8, TierCompiled} {
-		SetInferTier(tier)
-		if got := ActiveInferTier(); got != tier {
-			t.Fatalf("SetInferTier(%v) did not stick: active tier %v", tier, got)
-		}
-	}
-	SetInferParallelism(3)
-	if InferParallelism() != 3 {
-		t.Fatal("SetInferParallelism did not stick")
-	}
-	SetInferParallelism(0)
 }

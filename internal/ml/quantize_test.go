@@ -288,7 +288,6 @@ func TestCompiledCacheTiersAndEviction(t *testing.T) {
 // call must degrade to the compiled tier, produce valid probabilities, and
 // record the fallback.
 func TestQuantizedTierFallback(t *testing.T) {
-	defer SetInferTier(ActiveInferTier())
 	const inLen = 128
 	model, err := PaperNet(7, inLen, 3, 4, 4, 0.2)
 	if err != nil {
@@ -297,7 +296,6 @@ func TestQuantizedTierFallback(t *testing.T) {
 	var cc compiledCache
 	cc.setCalib([]*Tensor{FromSeries(make([]float64, inLen))}) // absmax 0
 
-	SetInferTier(TierInt8)
 	f0 := cInferFallbacks.Value()
 	raw := make([][]float64, 3)
 	for i := range raw {
@@ -306,7 +304,7 @@ func TestQuantizedTierFallback(t *testing.T) {
 			raw[i][j] = math.Sin(float64(i + j))
 		}
 	}
-	probs := predictPrepped(model, &cc, Preprocessor{}, inLen, raw, 1)
+	probs := predictPrepped(model, &cc, Preprocessor{}, inLen, raw, TierInt8, 1)
 	if len(probs) != 3 || len(probs[0]) != 3 {
 		t.Fatalf("fallback predictPrepped returned %v", probs)
 	}
@@ -321,19 +319,17 @@ func TestQuantizedTierFallback(t *testing.T) {
 	}
 	// Second call: still valid, still served from the compiled tier, and
 	// the quantize attempt is not repeated (qfailed is sticky).
-	if probs := predictPrepped(model, &cc, Preprocessor{}, inLen, raw, 1); len(probs) != 3 {
+	if probs := predictPrepped(model, &cc, Preprocessor{}, inLen, raw, TierInt8, 1); len(probs) != 3 {
 		t.Fatalf("second fallback call returned %v", probs)
 	}
 }
 
-// TestInferKnobsRaceSafe flips the tier and parallelism knobs while
-// concurrent goroutines score batches through predictPrepped. The knobs are
-// atomics and the artifact cache is mutex-guarded, so `go test -race` must
-// stay quiet; each goroutine owns its model and cache (the documented
-// usage — classifiers are per-fold), while the globals are shared.
+// TestInferKnobsRaceSafe scores batches through predictPrepped from
+// concurrent goroutines, each cycling through every tier and several
+// worker counts passed as arguments. The artifact cache is mutex-guarded,
+// so `go test -race` must stay quiet; each goroutine owns its model and
+// cache (the documented usage — classifiers are per-fold).
 func TestInferKnobsRaceSafe(t *testing.T) {
-	defer SetInferTier(ActiveInferTier())
-	defer SetInferParallelism(0)
 	const inLen = 128
 	raw := make([][]float64, 6)
 	rng := sim.NewStream(54, "race")
@@ -343,6 +339,7 @@ func TestInferKnobsRaceSafe(t *testing.T) {
 			raw[i][j] = rng.Uniform(-2, 2)
 		}
 	}
+	tiers := []InferTier{TierReference, TierCompiled, TierInt8}
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		model, err := PaperNet(uint64(60+g), inLen, 3, 4, 4, 0.2)
@@ -352,28 +349,16 @@ func TestInferKnobsRaceSafe(t *testing.T) {
 		cc := &compiledCache{}
 		cc.setCalib(testInputs(uint64(70+g), 4, inLen))
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				// par=2 keeps the reference tier on weight-sharing
-				// replicas rather than the shared model itself.
-				if got := predictPrepped(model, cc, Preprocessor{}, inLen, raw, 2); len(got) != len(raw) {
-					t.Errorf("predictPrepped returned %d rows, want %d", len(got), len(raw))
+				tier, par := tiers[(g+i)%len(tiers)], 1+(g+i)%3
+				if got := predictPrepped(model, cc, Preprocessor{}, inLen, raw, tier, par); len(got) != len(raw) {
+					t.Errorf("predictPrepped(%v, par %d) returned %d rows, want %d", tier, par, len(got), len(raw))
 					return
 				}
 			}
-		}()
+		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tiers := []InferTier{TierReference, TierCompiled, TierInt8}
-		for i := 0; i < 150; i++ {
-			SetInferTier(tiers[i%len(tiers)])
-			SetInferParallelism(i % 3)
-			_ = ActiveInferTier()
-			_ = InferParallelism()
-		}
-	}()
 	wg.Wait()
 }

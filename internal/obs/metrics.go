@@ -151,8 +151,7 @@ type HistogramSnapshot struct {
 // so the result is always finite and JSON-safe. Degenerate inputs — an
 // empty or zero-count histogram, no bounds, q out of range — return 0
 // rather than NaN, so a quantile can flow into benchmark metrics,
-// progress lines, and JSON manifests without every consumer re-guarding
-// (cmd/benchjson still drops non-finite columns as defense in depth).
+// progress lines, and JSON manifests without every consumer re-guarding.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
 	if h.Count <= 0 || len(h.Bounds) == 0 || q <= 0 || q > 1 {
 		return 0

@@ -80,7 +80,7 @@ func TestQuantileOverflowClampsFinite(t *testing.T) {
 // Degenerate inputs — empty histograms, missing bounds, out-of-range q —
 // must yield 0, never NaN or ±Inf: quantiles flow into benchmark metrics
 // and JSON manifests, and the guard lives at the source rather than in
-// every consumer (cmd/benchjson's column-dropping stays as backstop).
+// every consumer.
 func TestQuantileDegenerate(t *testing.T) {
 	empty := snapOf(t, []float64{1, 2})
 	if got := empty.Quantile(0.99); got != 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -113,8 +112,7 @@ func (s *benchState) model(name string) *benchModel {
 }
 
 // runLeg drives b.N closed-loop requests through classify and reports
-// req/s plus client-observed p50/p99 as benchmark metrics, which
-// cmd/benchjson carries into BENCH_serve.json unchanged.
+// req/s plus client-observed p50/p99 as benchmark metrics.
 func runLeg(b *testing.B, classify ClassifyFunc, traces [][]float64, conc int) {
 	b.Helper()
 	// Warm pools, arenas, and scheduler state outside the timer.
@@ -142,7 +140,7 @@ func runLeg(b *testing.B, classify ClassifyFunc, traces [][]float64, conc int) {
 // (MaxBatch 1: same queue, one-wide scoring) and the naive
 // one-request-one-PredictBatch path, per model and tier. The coalesced
 // and naive legs run back-to-back on the same frozen model and trace
-// corpus — the comparison BENCH_serve.json commits.
+// corpus.
 func BenchmarkServeThroughput(b *testing.B) {
 	st := serveBenchState(b)
 	conc := 256
@@ -153,7 +151,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/coalesced/%s", model, tier), func(b *testing.B) {
 				obs.Default.Reset()
 				s, err := New(Config{Model: frozen, Prep: st.prep, InputLen: st.inLen,
-					QueueDepth: 2 * conc, BatchWait: 200 * time.Microsecond})
+					QueueDepth: 2 * conc})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -179,10 +177,8 @@ func BenchmarkServeThroughput(b *testing.B) {
 }
 
 // BenchmarkServeLatency measures request latency at low offered load,
-// where batches rarely fill and the fill-or-timeout policy sets the
-// floor: conc=1 is the pure unloaded round-trip, conc=32 a lightly
-// contended one. Greedy close (BatchWait 0) keeps the idle path from
-// taxing latency with the full wait.
+// where batches rarely fill: conc=1 is the pure unloaded round-trip,
+// conc=32 a lightly contended one.
 func BenchmarkServeLatency(b *testing.B) {
 	st := serveBenchState(b)
 	frozen := st.logreg100.int8
@@ -201,28 +197,25 @@ func BenchmarkServeLatency(b *testing.B) {
 }
 
 // BenchmarkServeSweep maps the serving configuration space — tier ×
-// batch-close wait × worker count — on the logreg100 model, feeding the
-// EXPERIMENTS.md table. On a single-core host extra workers cannot add
-// throughput (they only split the same CPU), which the sweep documents.
+// worker count — on the logreg100 model. On a single-core host extra
+// workers cannot add throughput (they only split the same CPU), which the
+// sweep documents.
 func BenchmarkServeSweep(b *testing.B) {
 	st := serveBenchState(b)
 	conc := 256
 	for _, tier := range []string{"int8", "f32"} {
 		frozen := st.logreg100.tier(tier)
-		for _, bw := range []time.Duration{0, 200 * time.Microsecond} {
-			for _, workers := range []int{1, 2} {
-				name := fmt.Sprintf("%s/batchwait=%v/workers=%d", tier, bw, workers)
-				b.Run(name, func(b *testing.B) {
-					obs.Default.Reset()
-					s, err := New(Config{Model: frozen, Prep: st.prep, InputLen: st.inLen,
-						Workers: workers, QueueDepth: 2 * conc, BatchWait: bw})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer s.Stop()
-					runLeg(b, s.Classify, st.traces, conc)
-				})
-			}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", tier, workers), func(b *testing.B) {
+				obs.Default.Reset()
+				s, err := New(Config{Model: frozen, Prep: st.prep, InputLen: st.inLen,
+					Workers: workers, QueueDepth: 2 * conc})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Stop()
+				runLeg(b, s.Classify, st.traces, conc)
+			})
 		}
 	}
 }

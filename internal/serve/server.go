@@ -64,10 +64,6 @@ type Config struct {
 	// MaxBatch = 1 degenerates to unbatched serving — the baseline the
 	// benchmarks compare against.
 	MaxBatch int
-	// BatchWait bounds how long a worker holds an open batch waiting for
-	// it to fill once the first request arrived. Zero means greedy: score
-	// whatever is queued right now without waiting.
-	BatchWait time.Duration
 	// QueueDepth bounds the submission queue; submissions beyond it shed
 	// with ErrOverloaded (default 4 × Workers × MaxBatch).
 	QueueDepth int
@@ -326,8 +322,8 @@ func (s *Server) admit(sl *slot, batch []*slot) []*slot {
 	return append(batch, sl)
 }
 
-// worker drains the queue, assembling fill-or-timeout micro-batches and
-// scoring them on a pinned-arena session.
+// worker drains the queue, assembling micro-batches from whatever is
+// queued and scoring them on a pinned-arena session.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	sess := s.openSession()
@@ -337,10 +333,6 @@ func (s *Server) worker() {
 	batch := make([]*slot, 0, maxB)
 	X := make([]*ml.Tensor, 0, maxB)
 	out := make([][]float64, maxB)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 
 	for {
 		sl, ok := <-s.queue
@@ -349,18 +341,15 @@ func (s *Server) worker() {
 		}
 		batch = s.admit(sl, batch[:0])
 
-		// Batch-close policy: fill to maxB, or give up after BatchWait
-		// measured from the first arrival. BatchWait == 0 drains greedily —
-		// whatever is queued right now forms the batch.
-		//
-		// Before either policy, drain cooperatively: yield the processor so
-		// runnable submitters (typically the clients just answered by the
-		// previous batch) can preprocess and enqueue, then sweep the queue
-		// without ever parking. Parking in the select would instead wake
-		// the worker once per submission — a full handoff per request,
-		// which on a saturated single core costs more than the batching
-		// saves. Two consecutive empty sweeps mean the remaining producers
-		// are genuinely off-CPU, and the timed wait (if any) takes over.
+		// Batch-close policy: drain cooperatively up to maxB. Yield the
+		// processor so runnable submitters (typically the clients just
+		// answered by the previous batch) can preprocess and enqueue, then
+		// sweep the queue without ever parking. Parking in a select would
+		// instead wake the worker once per submission — a full handoff per
+		// request, which on a saturated single core costs more than the
+		// batching saves. Two consecutive empty sweeps mean the remaining
+		// producers are off-CPU, and the batch closes: a lone request never
+		// waits for company that is not already runnable.
 		closed := false
 		for idle := 0; len(batch) < maxB && idle < 2; {
 			select {
@@ -378,28 +367,6 @@ func (s *Server) worker() {
 			}
 			if closed {
 				break
-			}
-		}
-		if !closed && s.cfg.BatchWait > 0 {
-			timer.Reset(s.cfg.BatchWait)
-		fill:
-			for len(batch) < maxB {
-				select {
-				case sl2, ok2 := <-s.queue:
-					if !ok2 {
-						closed = true
-						break fill
-					}
-					batch = s.admit(sl2, batch)
-				case <-timer.C:
-					break fill
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
 			}
 		}
 

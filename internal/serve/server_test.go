@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -45,7 +46,7 @@ func TestServeMatchesDirect(t *testing.T) {
 	model, prep, traces := testModel(t)
 	direct := NaiveClassifier(model, prep, 0)
 
-	s, err := New(Config{Model: model, Prep: prep, Workers: 2, BatchWait: 50 * time.Microsecond})
+	s, err := New(Config{Model: model, Prep: prep, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +251,7 @@ func TestDeadlineShedsEndToEnd(t *testing.T) {
 func TestConcurrentSubmitShutdown(t *testing.T) {
 	model, prep, traces := testModel(t)
 	for round := 0; round < 3; round++ {
-		s, err := New(Config{Model: model, Prep: prep, Workers: 2,
-			BatchWait: 20 * time.Microsecond, QueueDepth: 16})
+		s, err := New(Config{Model: model, Prep: prep, Workers: 2, QueueDepth: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestConcurrentSubmitShutdown(t *testing.T) {
 // admitted.
 func TestStopDrainsQueue(t *testing.T) {
 	model, prep, traces := testModel(t)
-	s, err := New(Config{Model: model, Prep: prep, Workers: 1, BatchWait: time.Millisecond})
+	s, err := New(Config{Model: model, Prep: prep, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestStopDrainsQueue(t *testing.T) {
 // client, status mapping — against the in-process result.
 func TestTCPRoundTrip(t *testing.T) {
 	model, prep, traces := testModel(t)
-	s, err := New(Config{Model: model, Prep: prep, Workers: 1, BatchWait: 50 * time.Microsecond})
+	s, err := New(Config{Model: model, Prep: prep, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,5 +385,65 @@ func TestRunLoadCounts(t *testing.T) {
 	}
 	if res.P50us > res.P99us {
 		t.Fatalf("quantiles not monotone: %+v", res)
+	}
+}
+
+// failWriteConn is a net.Conn whose reads deliver a fixed byte stream and
+// then block until Close, like a peer that stays connected, and whose
+// every Write fails.
+type failWriteConn struct {
+	net.Conn // nil: only the methods handleConn uses are implemented
+	r        *bytes.Reader
+	closed   chan struct{}
+	once     sync.Once
+}
+
+func (c *failWriteConn) Read(p []byte) (int, error) {
+	if c.r.Len() > 0 {
+		return c.r.Read(p)
+	}
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *failWriteConn) Write([]byte) (int, error) {
+	return 0, errors.New("injected write failure")
+}
+
+func (c *failWriteConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestHandleConnWriteFailureDrains pipelines more classify requests than
+// the response queue holds over a connection whose writes all fail: the
+// handler must close the connection and drain every response, so it
+// returns instead of leaving request goroutines blocked forever.
+func TestHandleConnWriteFailureDrains(t *testing.T) {
+	model, prep, traces := testModel(t)
+	s, err := New(Config{Model: model, Prep: prep, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	var stream []byte
+	for id := uint64(0); id < 600; id++ {
+		stream = AppendRequest(stream, id, traces[int(id)%len(traces)])
+	}
+	conn := &failWriteConn{r: bytes.NewReader(stream), closed: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		s.handleConn(conn)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handleConn still blocked 10 s after its writes started failing")
+	}
+	select {
+	case <-conn.closed:
+	default:
+		t.Fatal("handleConn returned without closing the connection")
 	}
 }

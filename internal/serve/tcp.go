@@ -39,24 +39,33 @@ func (s *Server) handleConn(c net.Conn) {
 	out := make(chan []byte, 256)
 	var inflight sync.WaitGroup
 
-	// Writer: the only goroutine that touches the socket's write side.
+	// Writer: the only goroutine that touches the socket's write side. It
+	// drains out until the read side closes it, even after a write fails:
+	// request goroutines send on out, and one that blocked there would
+	// keep inflight.Wait, and so Serve, from ever returning. A failed write
+	// closes the connection so the read loop ends too.
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		bw := bufio.NewWriter(c)
+		var werr error
 		for frame := range out {
-			if _, err := bw.Write(frame); err != nil {
-				return
+			if werr != nil {
+				continue
 			}
+			_, werr = bw.Write(frame)
 			// Flush when the queue momentarily drains so pipelined bursts
 			// coalesce into few syscalls but a lone request is not delayed.
-			if len(out) == 0 {
-				if err := bw.Flush(); err != nil {
-					return
-				}
+			if werr == nil && len(out) == 0 {
+				werr = bw.Flush()
+			}
+			if werr != nil {
+				c.Close()
 			}
 		}
-		bw.Flush()
+		if werr == nil {
+			bw.Flush()
+		}
 	}()
 
 	br := bufio.NewReader(c)
