@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
+.PHONY: all build vet test race check-sim-equivalence check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
 
 all: build
 
@@ -25,6 +25,26 @@ test:
 # lifecycle, metrics registry/tracer) under the race detector.
 race:
 	$(GO) test -race ./internal/ml ./internal/core ./internal/sim ./internal/kernel ./internal/obs ./internal/serve ./internal/trace ./internal/dist
+
+# The simulator's shortcuts must not move a bit. Besides the golden dataset
+# hashes, each shortcut is checked against the work it skips: the event
+# queue's one-queued-occurrence series against an eagerly scheduled
+# container/heap reference (FuzzEventQueue's seed corpus), the machine that
+# books time only on the attacker core against one that books it on every
+# core, the jittered timer's short tick scan against the full scan, and the
+# on-demand eBPF ring against a preallocated one. Same grep discipline as
+# the other gates, anchored to the top-level PASS line.
+check-sim-equivalence:
+	$(GO) test -run 'TestGoldenDeterminism$$' -v ./internal/core \
+		| grep -- '^--- PASS: TestGoldenDeterminism '
+	$(GO) test -run 'TestUntrackedCoresEquivalence$$' -v ./internal/core \
+		| grep -- '^--- PASS: TestUntrackedCoresEquivalence '
+	$(GO) test -run 'FuzzEventQueue$$' -v ./internal/sim \
+		| grep -- '^--- PASS: FuzzEventQueue '
+	$(GO) test -run 'TestFirstCrossingJitteredMatchesFullScan$$' -v ./internal/attack \
+		| grep -- '^--- PASS: TestFirstCrossingJitteredMatchesFullScan '
+	$(GO) test -run 'TestRingBufferGrownMatchesPreallocated$$' -v ./internal/ebpf \
+		| grep -- '^--- PASS: TestRingBufferGrownMatchesPreallocated '
 
 # The compiled inference path must agree (argmax per trace) with the float64
 # reference on every golden scenario. Run narrowly with -v and grep for the
@@ -93,7 +113,9 @@ smoke-telemetry:
 
 # Distributed end-to-end smoke: a coordinator and two worker-replica
 # processes split a small run over loopback TCP; the merged manifest must
-# contain the per-cell rows and attribute them to the worker sources.
+# contain the per-cell rows and attribute them to the worker sources, and
+# count bg's two cells once each: 2 planned and 2 completed, both in the
+# merged metrics and in the pipeline section.
 smoke-dist:
 	rm -rf smoke-dist-out
 	$(GO) build -o smoke-dist-out/experiments ./cmd/experiments
@@ -103,9 +125,13 @@ smoke-dist:
 		-outdir smoke-dist-out -manifest run.json
 	grep -q '"scenario": "bgnoise/quiet"' smoke-dist-out/run.json
 	grep -q '"source": "smoke-w' smoke-dist-out/run.json
+	grep -Eq '"core\.cells\.planned": 2,?$$' smoke-dist-out/run.json
+	grep -Eq '"core\.cells\.completed": 2,?$$' smoke-dist-out/run.json
+	grep -Eq '"cells_planned": 2,?$$' smoke-dist-out/run.json
+	grep -Eq '"cells_completed": 2,?$$' smoke-dist-out/run.json
 	rm -rf smoke-dist-out
 
-ci: build vet test race bench-smoke check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist
+ci: build vet test race bench-smoke check-sim-equivalence check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist
 
 clean:
 	$(GO) clean

@@ -242,6 +242,11 @@ func run() int {
 			m.Config["dist.sources"] = strings.Join(agg.Sources(), ",")
 			m.Sections["dist"] = coord.Stats()
 			m.Metrics = obs.MergeSnapshots(m.Metrics, agg.Merged())
+			// Cells are planned here and completed on the workers, so
+			// only the merged counters hold both.
+			pipeline := m.Sections["pipeline"].(map[string]any)
+			pipeline["cells_planned"] = m.Metrics.Counters["core.cells.planned"]
+			pipeline["cells_completed"] = m.Metrics.Counters["core.cells.completed"]
 			m.Cells = append(m.Cells, agg.MergedCells()...)
 			sort.Slice(m.Cells, func(i, j int) bool {
 				if m.Cells[i].Scenario != m.Cells[j].Scenario {

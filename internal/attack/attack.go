@@ -121,11 +121,12 @@ func firstCrossing(tm clockface.Timer, from, target sim.Time) sim.Time {
 		}
 		return x
 	case *clockface.Jittered:
-		// Read is constant within each tick; scan ticks from the
-		// current one. ε ≤ Δ bounds the scan to a couple of steps
-		// beyond target/Δ.
+		// Read is constant within each tick, and tick k reads
+		// kΔ + ε ≤ (k+1)Δ, so no tick before target/Δ − 1 reaches
+		// target: scan from there (or from the current tick, if later).
+		// ε ≤ Δ bounds the scan to a couple of steps.
 		d := t.Delta
-		k := from / d
+		k := max(from/d, target/d-1)
 		for {
 			tickStart := k * d
 			probe := tickStart

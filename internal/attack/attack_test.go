@@ -76,6 +76,43 @@ func TestFirstCrossingProperty(t *testing.T) {
 	}
 }
 
+// TestFirstCrossingJitteredMatchesFullScan checks the jittered timer's
+// shortcut, which starts the tick scan at target/Δ − 1, against a scan of
+// every tick from `from`: both must return the earliest time whose reading
+// meets the target. Half the targets are whole ticks past the reading at
+// `from`, as the attacker's are (reading + P), which is where the tick
+// just before target/Δ can already cross.
+func TestFirstCrossingJitteredMatchesFullScan(t *testing.T) {
+	fullScan := func(j *clockface.Jittered, from, target sim.Time) sim.Time {
+		for k := from / j.Delta; ; k++ {
+			if probe := max(k*j.Delta, from); j.Read(probe) >= target {
+				return probe
+			}
+		}
+	}
+	rng := sim.NewStream(3, "first-crossing")
+	for i := 0; i < 2000; i++ {
+		delta := sim.Duration(rng.IntN(200) + 2)
+		seed := rng.Uint64()
+		timers := []*clockface.Jittered{
+			clockface.NewJittered(delta, seed),
+			clockface.NewJitteredAmp(delta, sim.Duration(rng.IntN(int(delta-1))+1), seed),
+		}
+		for _, j := range timers {
+			from := sim.Time(rng.Int64N(1 << 20))
+			target := j.Read(from) + sim.Duration(rng.IntN(60))*delta
+			if i%2 == 1 { // anywhere from 5 ticks before from to 60 after
+				target = from + sim.Time(rng.Int64N(int64(65*delta))) - 5*delta
+			}
+			got, want := firstCrossing(j, from, target), fullScan(j, from, target)
+			if got != want {
+				t.Fatalf("Δ %d, amp %d, seed %d: firstCrossing(%d, %d) = %d, full scan %d",
+					j.Delta, j.Amp, seed, from, target, got, want)
+			}
+		}
+	}
+}
+
 func TestFirstCrossingRandomizedViaNextChange(t *testing.T) {
 	r := clockface.NewRandomized(sim.NewStream(5, "fc"))
 	base := r.Read(0)

@@ -79,13 +79,10 @@ func schedulePulse(m *kernel.Machine, pl website.Pulse, dilation float64, until 
 	// Memory traffic and governor load apply in fixed chunks.
 	linesPerChunk := memRate * memChunk.Seconds()
 	memRNG := rng.Fork("mem")
-	for at := start; at < end; at += memChunk {
-		at := at
-		m.Eng.Schedule(at, func() {
-			m.Sched.VictimMemory(linesPerChunk * memRNG.LogNormal(0, 0.1))
-			m.Gov.ReportLoad(pl.Load)
-		})
-	}
+	m.Eng.Series(start, memChunk, end, func() {
+		m.Sched.VictimMemory(linesPerChunk * memRNG.LogNormal(0, 0.1))
+		m.Gov.ReportLoad(pl.Load)
+	})
 }
 
 // poissonStream schedules events at exponential inter-arrival times with

@@ -80,8 +80,36 @@ func CollectOne(scn Scenario, profile website.Profile, label, visit int, root ui
 // dst, when non-nil, is the caller-owned storage (a trace.Store arena row)
 // the attacker records into, making the whole trace allocation-free.
 func collectOne(m *kernel.Machine, scn Scenario, profile website.Profile, label, visit int, root uint64, dst []float64) (trace.Trace, error) {
-	if err := scn.normalize(); err != nil {
+	cfg, err := startVisit(m, scn, profile, visit, root)
+	if err != nil {
 		return trace.Trace{}, err
+	}
+	cfg.Dst = dst
+	var tr trace.Trace
+	if scn.Attack == SweepCounting {
+		tr, err = attack.CollectSweep(m, cfg)
+	} else {
+		tr, err = attack.CollectLoop(m, cfg)
+	}
+	if err != nil {
+		return trace.Trace{}, err
+	}
+	tr.Domain = profile.Domain
+	tr.Label = label
+	// Event totals come from the engine's counters after the run — the
+	// event loop itself carries no hooks (see sim.TestSteadyStateAllocFree).
+	cTraces.Inc()
+	cSimProcessed.Add(int64(m.Eng.Processed))
+	cSimScheduled.Add(int64(m.Eng.Scheduled()))
+	return tr, nil
+}
+
+// startVisit boots m for one visit of the scenario, arms its defenses and
+// schedules the page load, and returns the attacker's configuration. The
+// engine has not run yet.
+func startVisit(m *kernel.Machine, scn Scenario, profile website.Profile, visit int, root uint64) (attack.Config, error) {
+	if err := scn.normalize(); err != nil {
+		return attack.Config{}, err
 	}
 	seed := traceSeed(root, scn.Name, profile.Domain, visit)
 	m.Reset(kernel.Config{
@@ -127,31 +155,13 @@ func collectOne(m *kernel.Machine, scn Scenario, profile website.Profile, label,
 		Period:  scn.Period,
 		Samples: samples,
 		Variant: scn.Variant,
-		Dst:     dst,
 	}
 	if _, ok := tm.(*clockface.Randomized); ok {
 		cfg.SlotIndexed = true
 		cfg.SlotUnit = sim.Millisecond
 		cfg.Samples = int(scn.TraceDuration / cfg.SlotUnit)
 	}
-	var tr trace.Trace
-	var err error
-	if scn.Attack == SweepCounting {
-		tr, err = attack.CollectSweep(m, cfg)
-	} else {
-		tr, err = attack.CollectLoop(m, cfg)
-	}
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	tr.Domain = profile.Domain
-	tr.Label = label
-	// Event totals come from the engine's counters after the run — the
-	// event loop itself carries no hooks (see sim.TestSteadyStateAllocFree).
-	cTraces.Inc()
-	cSimProcessed.Add(int64(m.Eng.Processed))
-	cSimScheduled.Add(int64(m.Eng.Scheduled()))
-	return tr, nil
+	return cfg, nil
 }
 
 // collectJob describes one trace simulation: which site profile to visit,

@@ -48,7 +48,8 @@ func (r Runner) experimentCell(scn ScenarioSpec, sc Scale) CellSpec {
 // or the local cell pool when there is none, and returns results indexed
 // like the specs. par bounds local cell concurrency (<= 0 = all at once;
 // compute stays slot-bounded); distributed dispatchers derive concurrency
-// from worker lanes instead.
+// from worker lanes instead. RunCells counts the batch's cells as planned;
+// RunCell counts each one completed where it runs, here or on a worker.
 func (r Runner) RunCells(specs []CellSpec, par int) ([]CellResult, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -59,7 +60,7 @@ func (r Runner) RunCells(specs []CellSpec, par int) ([]CellResult, error) {
 	}
 	out := make([]CellResult, len(specs))
 	err := runCells(len(specs), par, func(i int) (err error) {
-		out[i], err = r.runCell(specs[i])
+		out[i], err = r.RunCell(specs[i])
 		return err
 	})
 	if err != nil {
@@ -73,13 +74,6 @@ func (r Runner) RunCells(specs []CellSpec, par int) ([]CellResult, error) {
 // self-contained: it names its classifier and inference tier, and the
 // runner contributes only its dataset cache.
 func (r Runner) RunCell(spec CellSpec) (CellResult, error) {
-	cCellsPlanned.Inc()
-	return r.runCell(spec)
-}
-
-// runCell is RunCell without the planned-cell count, which RunCells takes
-// for the whole batch up front.
-func (r Runner) runCell(spec CellSpec) (CellResult, error) {
 	var (
 		res CellResult
 		err error

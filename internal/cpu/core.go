@@ -68,10 +68,16 @@ func (s Steal) Duration() sim.Duration { return s.End - s.Start }
 
 // Core is a single CPU core. Create cores with NewCore; the zero value is
 // unusable.
+//
+// A core is tracked unless SetTracked(false) says nothing will read its
+// time. The interrupt controller books no kernel time on an untracked core
+// (it still counts the deliveries), so reading that core's time panics.
+// Tracking must be settled before the workload runs.
 type Core struct {
 	ID int
 
-	eng *sim.Engine
+	eng     *sim.Engine
+	tracked bool
 
 	freqGHz float64 // cycles per nanosecond
 
@@ -95,7 +101,7 @@ func NewCore(eng *sim.Engine, id int, freqGHz float64) *Core {
 	if freqGHz <= 0 {
 		panic("cpu: frequency must be positive")
 	}
-	return &Core{ID: id, eng: eng, freqGHz: freqGHz}
+	return &Core{ID: id, eng: eng, freqGHz: freqGHz, tracked: true}
 }
 
 // Reset returns the core to its just-built state at the given frequency,
@@ -106,6 +112,7 @@ func (c *Core) Reset(freqGHz float64) {
 		panic("cpu: frequency must be positive")
 	}
 	c.freqGHz = freqGHz
+	c.tracked = true
 	c.lastUpdate = 0
 	c.work = 0
 	c.stolenNS = 0
@@ -115,14 +122,30 @@ func (c *Core) Reset(freqGHz float64) {
 	c.stolenByCause = [NumCauses]sim.Duration{}
 }
 
-// RecordSteals toggles steal logging.
-func (c *Core) RecordSteals(on bool) { c.recordSteals = on }
+// SetTracked says whether anything reads this core's time.
+func (c *Core) SetTracked(on bool) { c.tracked = on }
+
+// Tracked reports whether the core's kernel time is booked.
+func (c *Core) Tracked() bool { return c.tracked }
+
+// mustBeTracked guards the time readers: an untracked core's time was
+// never booked, so only a bug can read it.
+func (c *Core) mustBeTracked() {
+	if !c.tracked {
+		panic(fmt.Sprintf("cpu: core %d is untracked; its time is not kept", c.ID))
+	}
+}
+
+// RecordSteals toggles steal logging. Logging a core tracks it.
+func (c *Core) RecordSteals(on bool) {
+	c.recordSteals = on
+	if on {
+		c.tracked = true
+	}
+}
 
 // Steals returns the recorded steal log (shared slice; do not mutate).
 func (c *Core) Steals() []Steal { return c.steals }
-
-// ResetSteals clears the steal log.
-func (c *Core) ResetSteals() { c.steals = c.steals[:0] }
 
 // advance brings the work integral forward to `now`. Time inside a booked
 // kernel interval was already accounted for when the steal was registered,
@@ -151,23 +174,29 @@ func (c *Core) SetFreq(ghz float64) {
 // time. Events up to that time must already have been processed by the
 // engine for the value to be exact.
 func (c *Core) WorkAt(now sim.Time) float64 {
+	c.mustBeTracked()
 	c.advance(now)
 	return c.work
 }
 
 // StolenAt returns total stolen nanoseconds as of `now`.
 func (c *Core) StolenAt(now sim.Time) sim.Duration {
+	c.mustBeTracked()
 	c.advance(now)
 	return c.stolenNS
 }
 
 // StolenByCause returns the cumulative stolen time attributed to cause.
 func (c *Core) StolenByCause(cause Cause) sim.Duration {
+	c.mustBeTracked()
 	return c.stolenByCause[cause]
 }
 
 // BusyUntil reports when current kernel occupancy ends (may be in the past).
-func (c *Core) BusyUntil() sim.Time { return c.busyUntil }
+func (c *Core) BusyUntil() sim.Time {
+	c.mustBeTracked()
+	return c.busyUntil
+}
 
 // Steal occupies the core for kernel work of the given duration, starting
 // now or after the current kernel occupancy ends, whichever is later. It

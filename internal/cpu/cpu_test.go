@@ -56,6 +56,41 @@ func TestStealsQueueBackToBack(t *testing.T) {
 	}
 }
 
+// TestUntrackedCoreReadsPanic: an untracked core's time was never booked,
+// so every reader of it panics; logging steals or a Reset tracks the core
+// again, and a core that does not log still returns an empty log.
+func TestUntrackedCoreReadsPanic(t *testing.T) {
+	c := NewCore(sim.NewEngine(), 3, 1.0)
+	c.SetTracked(false)
+	for name, read := range map[string]func(){
+		"WorkAt":        func() { c.WorkAt(0) },
+		"StolenAt":      func() { c.StolenAt(0) },
+		"StolenByCause": func() { c.StolenByCause(CauseTimer) },
+		"BusyUntil":     func() { c.BusyUntil() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an untracked core did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+	if len(c.Steals()) != 0 {
+		t.Fatal("a core that does not log steals has a log")
+	}
+	c.RecordSteals(true)
+	if !c.Tracked() {
+		t.Fatal("logging steals must track the core")
+	}
+	c.SetTracked(false)
+	c.Reset(1.0)
+	if !c.Tracked() || c.WorkAt(0) != 0 {
+		t.Fatal("Reset must restore a tracked core")
+	}
+}
+
 func TestFreqChangeMidway(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewCore(eng, 0, 1.0)

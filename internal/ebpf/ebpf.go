@@ -27,30 +27,38 @@ func (r Record) Duration() sim.Duration { return r.End - r.Start }
 
 // RingBuffer is a fixed-capacity event buffer like BPF_MAP_TYPE_RINGBUF:
 // when full, the oldest records are overwritten and counted as dropped.
+// The backing array grows on demand up to the capacity, so a buffer sized
+// for the worst case costs only what it holds.
 type RingBuffer struct {
-	buf     []Record
-	start   int // index of oldest
-	n       int
-	Dropped uint64
+	buf      []Record
+	capacity int
+	start    int // index of oldest; 0 until the buffer first fills
+	n        int
+	Dropped  uint64
 }
 
-// NewRingBuffer allocates a buffer holding up to capacity records.
+// NewRingBuffer makes a buffer holding up to capacity records.
 func NewRingBuffer(capacity int) *RingBuffer {
 	if capacity <= 0 {
 		panic("ebpf: ring buffer capacity must be positive")
 	}
-	return &RingBuffer{buf: make([]Record, capacity)}
+	return &RingBuffer{capacity: capacity}
 }
 
 // Push appends a record, evicting the oldest when full.
 func (r *RingBuffer) Push(rec Record) {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = rec
+	if r.n < r.capacity {
+		// i <= len(buf): start stays 0 until the array reaches capacity.
+		if i := (r.start + r.n) % r.capacity; i < len(r.buf) {
+			r.buf[i] = rec
+		} else {
+			r.buf = append(r.buf, rec)
+		}
 		r.n++
 		return
 	}
 	r.buf[r.start] = rec
-	r.start = (r.start + 1) % len(r.buf)
+	r.start = (r.start + 1) % r.capacity
 	r.Dropped++
 }
 
@@ -61,7 +69,7 @@ func (r *RingBuffer) Len() int { return r.n }
 func (r *RingBuffer) Drain() []Record {
 	out := make([]Record, r.n)
 	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
+		out[i] = r.buf[(r.start+i)%r.capacity]
 	}
 	r.start, r.n = 0, 0
 	return out
@@ -75,27 +83,23 @@ type Tracer struct {
 	// (BPF_MAP_TYPE_ARRAY analogue).
 	CountsByType map[interrupt.Type]uint64
 
-	core    int
 	blocked map[interrupt.Type]bool
 }
 
 // CoreAny traces every core.
-const CoreAny = -1
+const CoreAny = interrupt.AllCores
 
-// Attach registers the tracer on the controller's tracepoints. The paper
-// notes Linux restricts which kernel entry points can be traced; our
-// controller exposes all interrupt types, so coverage here is complete —
-// the restriction is documented rather than simulated.
+// Attach registers the tracer on the controller's tracepoints for one core
+// (or every core with CoreAny), which tracks that core; attach before the
+// workload runs. The paper notes Linux restricts which kernel entry points
+// can be traced; our controller exposes all interrupt types, so coverage
+// here is complete — the restriction is documented rather than simulated.
 func Attach(ctl *interrupt.Controller, core int, bufCapacity int) *Tracer {
 	t := &Tracer{
 		Buf:          NewRingBuffer(bufCapacity),
 		CountsByType: make(map[interrupt.Type]uint64),
-		core:         core,
 	}
-	ctl.Observe(func(e interrupt.Event) {
-		if t.core != CoreAny && e.Core != t.core {
-			return
-		}
+	ctl.Observe(core, func(e interrupt.Event) {
 		if t.blocked[e.Type] {
 			return
 		}

@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -64,6 +65,60 @@ func TestRingBufferProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// preallocRing is the ring buffer with its whole backing array allocated
+// up front, the reference for RingBuffer's on-demand growth.
+type preallocRing struct {
+	buf      []Record
+	start, n int
+	dropped  uint64
+}
+
+func (r *preallocRing) push(rec Record) {
+	if r.n < len(r.buf) {
+		r.buf[(r.start+r.n)%len(r.buf)] = rec
+		r.n++
+		return
+	}
+	r.buf[r.start] = rec
+	r.start = (r.start + 1) % len(r.buf)
+	r.dropped++
+}
+
+func (r *preallocRing) drain() []Record {
+	out := make([]Record, r.n)
+	for i := range out {
+		out[i] = r.buf[(r.start+i)%len(r.buf)]
+	}
+	r.start, r.n = 0, 0
+	return out
+}
+
+// TestRingBufferGrownMatchesPreallocated runs random push and drain
+// sequences, below and past capacity, through RingBuffer and the
+// preallocated reference: every Drain and the Dropped count must agree.
+func TestRingBufferGrownMatchesPreallocated(t *testing.T) {
+	rng := sim.NewStream(4, "ring")
+	for trial := 0; trial < 300; trial++ {
+		capacity := rng.IntN(40) + 1
+		rb := NewRingBuffer(capacity)
+		ref := &preallocRing{buf: make([]Record, capacity)}
+		next := 0
+		for round := 0; round < 4; round++ {
+			for i := rng.IntN(3 * capacity); i > 0; i-- {
+				rec := Record{Start: sim.Time(next), Core: next % 4}
+				next++
+				rb.Push(rec)
+				ref.push(rec)
+			}
+			got, want := rb.Drain(), ref.drain()
+			if !slices.Equal(got, want) || rb.Dropped != ref.dropped {
+				t.Fatalf("capacity %d, round %d: drained %v (dropped %d), want %v (dropped %d)",
+					capacity, round, got, rb.Dropped, want, ref.dropped)
+			}
+		}
 	}
 }
 

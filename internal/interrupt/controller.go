@@ -90,7 +90,16 @@ type Controller struct {
 	pendingSoft [][]Type // per-core deferred softirq queues
 
 	counts    [][]uint64 // [type][core]
-	observers []Observer
+	observers []watch
+}
+
+// AllCores is the core argument of Observe that watches every core.
+const AllCores = -1
+
+// watch is one Observe registration.
+type watch struct {
+	core int // AllCores or one core
+	fn   Observer
 }
 
 // NewController creates a controller over the given cores.
@@ -165,8 +174,19 @@ func (c *Controller) SetIRQAffinity(t Type, core int) {
 	c.affinity[t] = core
 }
 
-// Observe registers a kernel-side event observer (the eBPF attach point).
-func (c *Controller) Observe(o Observer) { c.observers = append(c.observers, o) }
+// Observe registers a kernel-side event observer (the eBPF attach point)
+// for the handlers run on one core, or on every core with AllCores. The
+// watched cores become tracked, so register before the workload runs.
+func (c *Controller) Observe(core int, o Observer) {
+	if core == AllCores {
+		for _, cc := range c.cores {
+			cc.SetTracked(true)
+		}
+	} else {
+		c.cores[core].SetTracked(true)
+	}
+	c.observers = append(c.observers, watch{core: core, fn: o})
+}
 
 // SetRouting configures movable-IRQ distribution. For RoutePinned, core is
 // the target; for RouteBalanced it is ignored.
@@ -203,23 +223,32 @@ func (c *Controller) sampleDuration(t Type) sim.Duration {
 
 // deliver executes one handler on the target core now (or queued after the
 // core's current kernel work), emitting a kernel event and stealing time.
-func (c *Controller) deliver(t Type, core int) cpu.Steal {
+// On an untracked core it only counts the delivery and draws the handler's
+// variate, which keeps every later draw of the stream in step: nothing
+// reads that core's time, and no observer watches it.
+func (c *Controller) deliver(t Type, core int) {
+	c.counts[t][core]++
+	cc := c.cores[core]
+	if !cc.Tracked() {
+		c.rng.SkipDurLogNormal()
+		return
+	}
 	dur := c.sampleDuration(t)
 	// Kernel entry overhead applies once per entry: piggybacked handlers
 	// (core already in kernel) skip it.
-	if c.cores[core].BusyUntil() <= c.eng.Now() {
+	if cc.BusyUntil() <= c.eng.Now() {
 		dur += c.cfg.EntryOverhead
 	}
 	if c.vmCore[core] {
 		dur = sim.Duration(float64(dur)*c.cfg.VMFactor) + c.cfg.VMExit
 	}
-	st := c.cores[core].Steal(dur, SpecOf(t).Cause)
-	c.counts[t][core]++
+	st := cc.Steal(dur, SpecOf(t).Cause)
 	ev := Event{Type: t, Core: core, Start: st.Start, End: st.End}
-	for _, o := range c.observers {
-		o(ev)
+	for _, w := range c.observers {
+		if w.core == AllCores || w.core == core {
+			w.fn(ev)
+		}
 	}
-	return st
 }
 
 // routeDevice picks the core for a movable device IRQ: global pinning
@@ -332,6 +361,3 @@ func (c *Controller) PendingSoftirqs(core int) int { return len(c.pendingSoft[co
 
 // NumCores returns the number of cores the controller manages.
 func (c *Controller) NumCores() int { return len(c.cores) }
-
-// Config returns the controller's configuration.
-func (c *Controller) ConfigValue() Config { return c.cfg }

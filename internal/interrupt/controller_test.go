@@ -104,7 +104,7 @@ func TestEntryOverheadOncePerEntry(t *testing.T) {
 	cfg.EntryOverhead = 1500
 	eng, cores, ctl := newRig(1, cfg)
 	var evs []Event
-	ctl.Observe(func(e Event) { evs = append(evs, e) })
+	ctl.Observe(0, func(e Event) { evs = append(evs, e) })
 	ctl.RaiseIRQ(NetRX) // IRQ + piggybacked softirq
 	eng.Run(sim.Second)
 	if len(evs) != 2 {
@@ -212,7 +212,7 @@ func TestIRQWorkPiggybacksOnTick(t *testing.T) {
 	cfg.TickHZ = 250
 	eng, _, ctl := newRig(1, cfg)
 	var evs []Event
-	ctl.Observe(func(e Event) { evs = append(evs, e) })
+	ctl.Observe(AllCores, func(e Event) { evs = append(evs, e) })
 	ctl.StartTimerTicks()
 	ctl.QueueIRQWork(0)
 	eng.Run(10 * sim.Millisecond)
@@ -295,7 +295,7 @@ func TestEventLogMatchesStolenProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		eng, cores, ctl := newRig(1, DefaultConfig())
 		var total sim.Duration
-		ctl.Observe(func(e Event) { total += e.Duration() })
+		ctl.Observe(0, func(e Event) { total += e.Duration() })
 		for i := 0; i < int(n%32); i++ {
 			eng.After(sim.Duration(i)*sim.Millisecond, func() {})
 			ctl.RaiseIRQ(USB)

@@ -45,6 +45,13 @@ type Machine struct {
 
 // NewMachine builds and boots a machine: cores running, timer ticks firing,
 // baseline background activity scheduled, isolation mechanisms applied.
+//
+// Only the attacker core is tracked: the other cores' interrupts are
+// routed, drawn and counted as on a real machine, but their kernel time is
+// not booked, because the attacker sees only its own core. To read
+// another core's time, track it before running the engine: with
+// Core.SetTracked or Core.RecordSteals, or by watching it through
+// Controller.Observe (ebpf.Attach).
 func NewMachine(cfg Config) *Machine {
 	m := &Machine{}
 	m.boot(cfg)
@@ -100,6 +107,9 @@ func (m *Machine) boot(cfg Config) {
 		for _, c := range m.Cores {
 			c.Reset(startGHz)
 		}
+	}
+	for i, c := range m.Cores {
+		c.SetTracked(i == AttackerCore)
 	}
 	cores := m.Cores
 	m.Gov = cpu.NewGovernor(eng, cores, cpu.GovernorConfig{
@@ -207,29 +217,4 @@ func (m *Machine) startNoiseApps() {
 		})
 	}
 	nextBurst()
-}
-
-// CPUStat is a /proc/stat-style per-core time breakdown.
-type CPUStat struct {
-	Core   int
-	User   sim.Duration
-	Kernel sim.Duration
-	// ByCause splits kernel time by steal cause, indexed by cpu.Cause.
-	ByCause [cpu.NumCauses]sim.Duration
-}
-
-// CPUStats returns each core's time split as of the engine's current
-// clock — the machine's /proc/stat analogue.
-func (m *Machine) CPUStats() []CPUStat {
-	now := m.Eng.Now()
-	out := make([]CPUStat, len(m.Cores))
-	for i, c := range m.Cores {
-		st := CPUStat{Core: i, Kernel: c.StolenAt(now)}
-		st.User = sim.Duration(now) - st.Kernel
-		for cause := cpu.Cause(0); int(cause) < cpu.NumCauses; cause++ {
-			st.ByCause[cause] = c.StolenByCause(cause)
-		}
-		out[i] = st
-	}
-	return out
 }

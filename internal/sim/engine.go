@@ -65,12 +65,11 @@ type slot struct {
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    []entry
-	slots   []slot
-	free    int32 // head of the slot free list; -1 when empty
-	stopped bool
+	now   Time
+	seq   uint64
+	heap  []entry
+	slots []slot
+	free  int32 // head of the slot free list; -1 when empty
 	// Processed counts events executed since creation (or the last Reset);
 	// useful for budget checks and performance diagnostics.
 	Processed uint64
@@ -86,7 +85,6 @@ func NewEngine() *Engine {
 // reuse. A reset engine behaves identically to a fresh NewEngine().
 func (e *Engine) Reset() {
 	e.now, e.seq, e.Processed = 0, 0, 0
-	e.stopped = false
 	e.heap = e.heap[:0]
 	clear(e.slots) // release retained closures
 	e.slots = e.slots[:0]
@@ -187,9 +185,6 @@ func (e *Engine) Schedule(at Time, fn func()) {
 // After runs fn after d nanoseconds of virtual time.
 func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.now+d, fn) }
 
-// Stop halts Run after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // fire pops the minimum entry and executes its callback, recycling one-shot
 // slots before the callback runs so rescheduling can reuse them.
 func (e *Engine) fire() {
@@ -206,16 +201,11 @@ func (e *Engine) fire() {
 	fn()
 }
 
-// Run executes events until the queue is empty or the clock would pass
-// `until`. Events scheduled exactly at `until` are executed. It returns the
-// final clock value, which is min(until, time of last event) but never less
-// than the starting clock.
+// Run executes every event due at or before `until`, then moves the clock
+// to `until`. It returns the final clock value: until, or the starting
+// clock if that was already later.
 func (e *Engine) Run(until Time) Time {
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		if e.heap[0].at > until {
-			break
-		}
+	for len(e.heap) > 0 && e.heap[0].at <= until {
 		e.fire()
 	}
 	if until > e.now {
@@ -224,22 +214,14 @@ func (e *Engine) Run(until Time) Time {
 	return e.now
 }
 
-// RunAll executes every pending event regardless of timestamp.
-func (e *Engine) RunAll() Time {
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		e.fire()
-	}
-	return e.now
-}
-
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // Scheduled reports the number of events scheduled since creation (or the
-// last Reset), including ticker re-arms. Together with Processed it is the
-// engine's observability surface: callers read both after a simulation
-// completes, so the event hot path itself carries no instrumentation.
+// last Reset), including ticker re-arms and every occurrence of a Series,
+// queued or not. Together with Processed it is the engine's observability
+// surface: callers read both after a simulation completes, so the event
+// hot path itself carries no instrumentation.
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // Ticker invokes fn every `period` starting at `start` until the engine
@@ -274,4 +256,44 @@ func (e *Engine) Tick(start Time, period Duration, fn func(now Time)) *Ticker {
 	}
 	e.schedule(start, id)
 	return t
+}
+
+// Series runs fn at start, start+step, start+2·step, … for every time
+// before end, as
+//
+//	for at := start; at < end; at += step { e.Schedule(at, fn) }
+//
+// would, with the same event keys, so the occurrences fire in the same
+// order among all other events. It reserves every occurrence's sequence
+// number now, as that loop takes them, but queues only the next
+// occurrence: each fire queues its successor under the successor's
+// reserved number. The successor is queued when its predecessor pops,
+// before anything with a larger key than the predecessor's can pop, so
+// the pop order is the loop's, while the queue holds one entry and one
+// slab slot per series instead of one per occurrence. Occurrences before
+// the current clock are clamped to it, as Schedule clamps them.
+func (e *Engine) Series(start Time, step Duration, end Time, fn func()) {
+	if step <= 0 {
+		panic("sim: Series step must be positive")
+	}
+	if start >= end {
+		return
+	}
+	n := uint64((end - start + step - 1) / step)
+	floor := e.now
+	at := func(k uint64) Time { return max(start+Time(k)*step, floor) }
+	first := e.seq + 1
+	e.seq += n
+	id := e.alloc()
+	var k uint64 // occurrences fired
+	e.slots[id].periodic = true
+	e.slots[id].fn = func() {
+		if k++; k < n {
+			e.push(entry{at: at(k), seq: first + k, slot: id})
+		} else {
+			e.release(id)
+		}
+		fn()
+	}
+	e.push(entry{at: at(0), seq: first, slot: id})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,21 +88,25 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
+// TestSeriesQueuesOneOccurrence checks the series' bookkeeping: all of its
+// sequence numbers are taken at creation, but only the next occurrence sits
+// in the queue.
+func TestSeriesQueuesOneOccurrence(t *testing.T) {
 	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
+	var fired []Time
+	e.Series(10, 5, 30, func() { fired = append(fired, e.Now()) }) // 10, 15, 20, 25
+	if e.Scheduled() != 4 || e.Pending() != 1 {
+		t.Fatalf("Scheduled %d, Pending %d; want 4 and 1", e.Scheduled(), e.Pending())
 	}
 	e.Run(100)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 after Stop", count)
+	if want := []Time{10, 15, 20, 25}; !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
 	}
+	if e.Pending() != 0 || e.Processed != 4 {
+		t.Fatalf("Pending %d, Processed %d after the series", e.Pending(), e.Processed)
+	}
+	e.Series(200, 5, 200, func() { t.Fatal("empty series fired") })
+	e.Run(300)
 }
 
 func TestTicker(t *testing.T) {
@@ -157,7 +162,7 @@ func TestEngineMonotonicProperty(t *testing.T) {
 			at := Time(o)
 			e.Schedule(at, func() { times = append(times, e.Now()) })
 		}
-		e.RunAll()
+		e.Run(1 << 40)
 		for i := 1; i < len(times); i++ {
 			if times[i] < times[i-1] {
 				return false
@@ -312,7 +317,7 @@ func TestEngineScheduledCounter(t *testing.T) {
 	if got := e.Scheduled(); got != 2 {
 		t.Fatalf("Scheduled = %d, want 2", got)
 	}
-	e.RunAll()
+	e.Run(1 << 40)
 	if got := e.Processed; got != 2 {
 		t.Fatalf("Processed = %d, want 2", got)
 	}
@@ -328,7 +333,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			e.Schedule(Time(j%97), func() {})
 		}
-		e.RunAll()
+		e.Run(1 << 40)
 	}
 }
 
@@ -344,6 +349,19 @@ func TestStreamForkIndependence(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if parent.Uint64() != parent2.Uint64() {
 			t.Fatal("child draws perturbed the parent stream")
+		}
+	}
+}
+
+// TestSkipDurLogNormalKeepsStep: skipping a log-normal duration must
+// consume exactly what drawing it does, so later draws are unchanged.
+func TestSkipDurLogNormalKeepsStep(t *testing.T) {
+	drawn, skipped := NewStream(8, "skip"), NewStream(8, "skip")
+	for i := 0; i < 1000; i++ {
+		drawn.DurLogNormal(3000, 0.45, 800, 20000)
+		skipped.SkipDurLogNormal()
+		if a, b := drawn.Uint64(), skipped.Uint64(); a != b {
+			t.Fatalf("draw %d: streams diverged after a skip", i)
 		}
 	}
 }

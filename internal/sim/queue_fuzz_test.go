@@ -35,13 +35,12 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// refEngine reimplements the engine's Schedule/Run/Stop semantics on the
+// refEngine reimplements the engine's Schedule/Run semantics on the
 // reference heap.
 type refEngine struct {
-	now     Time
-	seq     uint64
-	pq      refHeap
-	stopped bool
+	now Time
+	seq uint64
+	pq  refHeap
 }
 
 func (e *refEngine) schedule(at Time, id int) {
@@ -53,11 +52,7 @@ func (e *refEngine) schedule(at Time, id int) {
 }
 
 func (e *refEngine) run(until Time, fired func(id int)) {
-	e.stopped = false
-	for len(e.pq) > 0 && !e.stopped {
-		if e.pq[0].at > until {
-			break
-		}
+	for len(e.pq) > 0 && e.pq[0].at <= until {
 		ev := heap.Pop(&e.pq).(*refEvent)
 		if ev.at > e.now {
 			e.now = ev.at
@@ -74,68 +69,96 @@ type firing struct {
 	now Time
 }
 
-// FuzzEventQueue drives random schedule/run/stop interleavings through both
-// queues. Every event records (its insertion id, the clock when it fired);
-// the two logs must match exactly, which pins the (time, seq) tie-break,
-// the clamp-past-to-present rule, and Stop semantics across the heap
-// rewrite.
+// FuzzEventQueue drives random schedule/series/run interleavings through
+// both queues. Every event records (its id, the clock when it fired); the
+// two logs must match exactly, which pins the (time, seq) tie-break and the
+// clamp-past-to-present rule across the heap rewrite. The reference
+// schedules every occurrence of a Series eagerly, as the loop in Series'
+// doc comment does, so the engine's one-queued-occurrence series must keep
+// that loop's sequence numbers: events that callbacks schedule at an
+// occurrence's time must still pop after it.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 50, 0, 10, 2, 0, 1, 255})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 2})
 	f.Add([]byte{3, 7, 0, 3, 1, 20, 3, 1, 2, 1, 200})
 	f.Add([]byte{2, 5, 0, 5, 0, 5, 1, 100, 1, 100})
+	// A series at 65 and 67 whose first occurrence schedules a child at
+	// 67, plus a one-shot at 67 scheduled after the series: at 67 the
+	// series fires first, then the one-shot, then the child.
+	f.Add([]byte{2, 129, 0, 67, 1, 255})
+	// A series created at 100 for 45 and 47: both occurrences clamp to 100.
+	f.Add([]byte{1, 100, 2, 9, 1, 255})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		eng := NewEngine()
 		ref := &refEngine{}
 		var gotLog, refLog []firing
 		nextID := 0
-		stopIDs := map[int]bool{}
+		// child maps an event id to the delay of the one-shot it schedules
+		// when it fires; the child's id is -1-parent.
+		child := map[int]Time{}
 
 		refFired := func(id int) {
 			refLog = append(refLog, firing{id, ref.now})
-			if stopIDs[id] {
-				ref.stopped = true
+			if d, ok := child[id]; ok {
+				ref.schedule(ref.now+d, -1-id)
 			}
 		}
-		schedule := func(delta Time, stop bool) {
+		var engFired func(id int)
+		engFired = func(id int) {
+			gotLog = append(gotLog, firing{id, eng.Now()})
+			if d, ok := child[id]; ok {
+				eng.Schedule(eng.Now()+d, func() { engFired(-1 - id) })
+			}
+		}
+		schedule := func(delta Time) {
 			id := nextID
 			nextID++
-			if stop {
-				stopIDs[id] = true
-			}
-			eng.Schedule(eng.Now()+delta, func() {
-				gotLog = append(gotLog, firing{id, eng.Now()})
-				if stop {
-					eng.Stop()
-				}
-			})
+			eng.Schedule(eng.Now()+delta, func() { engFired(id) })
 			ref.schedule(ref.now+delta, id)
+		}
+		// series starts arg-64 from now (so possibly in the past), steps by
+		// 1..4 and has 0..5 occurrences; the first occurrence schedules a
+		// child one step later, at its successor's time.
+		series := func(arg Time) {
+			start := eng.Now() + arg - 64
+			step := arg%4 + 1
+			n := int(arg/4) % 6
+			end := start + Time(n)*step
+			first := nextID
+			nextID += n
+			if n > 0 {
+				child[first] = step
+			}
+			k := 0
+			eng.Series(start, step, end, func() {
+				engFired(first + k)
+				k++
+			})
+			for i := 0; i < n; i++ {
+				ref.schedule(start+Time(i)*step, first+i)
+			}
+		}
+		run := func(until Time) {
+			eng.Run(until)
+			ref.run(until, refFired)
 		}
 
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i]%4, Time(ops[i+1])
 			switch op {
 			case 0: // one-shot event at now+arg
-				schedule(arg, false)
+				schedule(arg)
 			case 1: // run until now+arg
-				until := eng.Now() + arg
-				eng.Run(until)
-				ref.run(until, refFired)
-			case 2: // event that stops the engine when it fires
-				schedule(arg, true)
+				run(eng.Now() + arg)
+			case 2: // bounded fixed-step series
+				series(arg)
 			case 3: // two events at the same timestamp (forces a tie)
-				schedule(arg, false)
-				schedule(arg, false)
+				schedule(arg)
+				schedule(arg)
 			}
 		}
-		// Drain both queues completely, honouring any pending stop events.
 		const horizon = Time(1) << 40
-		for eng.Pending() > 0 {
-			eng.Run(horizon)
-		}
-		for len(ref.pq) > 0 {
-			ref.run(horizon, refFired)
-		}
+		run(horizon)
 
 		if len(gotLog) != len(refLog) {
 			t.Fatalf("fired %d events, reference fired %d", len(gotLog), len(refLog))
@@ -147,6 +170,9 @@ func FuzzEventQueue(f *testing.F) {
 		}
 		if eng.Now() != ref.now {
 			t.Fatalf("clocks diverged: engine %v, reference %v", eng.Now(), ref.now)
+		}
+		if eng.Scheduled() != ref.seq {
+			t.Fatalf("Scheduled = %d, reference scheduled %d", eng.Scheduled(), ref.seq)
 		}
 	})
 }

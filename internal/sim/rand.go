@@ -128,6 +128,10 @@ func (s *Stream) DurExp(mean Duration) Duration {
 	return d
 }
 
+// SkipDurLogNormal advances the stream exactly as one DurLogNormal call
+// does, by one normal draw, without computing the duration.
+func (s *Stream) SkipDurLogNormal() { s.rng.NormFloat64() }
+
 // DurLogNormal returns a log-normally distributed duration with the given
 // median and sigma (in log space), clamped to [min, max].
 func (s *Stream) DurLogNormal(median Duration, sigma float64, min, max Duration) Duration {
