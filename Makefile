@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check-sim-equivalence check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
+.PHONY: all build vet test race check-sim-equivalence check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist fuzz-wire ci clean
 
 all: build
 
@@ -106,7 +106,7 @@ smoke-obs:
 	rm -rf smoke-obs-out
 
 # Telemetry smoke: obstop scrapes its own debug server over HTTP, decodes
-# the binary frame, aggregates it, and prints "obstop selftest ok" — the
+# the binary payload, aggregates it, and prints "obstop selftest ok" — the
 # whole export/scrape/merge path in one short run.
 smoke-telemetry:
 	$(GO) run ./cmd/obstop -selftest | grep -q 'obstop selftest ok'
@@ -131,7 +131,16 @@ smoke-dist:
 	grep -Eq '"cells_completed": 2,?$$' smoke-dist-out/run.json
 	rm -rf smoke-dist-out
 
-ci: build vet test race bench-smoke check-sim-equivalence check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist
+# The network decoders under the fuzzer, 10 s each (`test` runs only their
+# seed corpora): the frame reader, and the serve, dist and telemetry
+# payload decoders behind it.
+fuzz-wire:
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzTelemetryDecode$$' -fuzztime 10s ./internal/obs
+
+ci: build vet test race bench-smoke check-sim-equivalence check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist fuzz-wire
 
 clean:
 	$(GO) clean

@@ -1,6 +1,6 @@
 // Command obstop is a live terminal view over running daemons' telemetry:
 // it scrapes each endpoint's /debug/telemetry (the versioned binary
-// TelemetryFrame internal/obs exports), merges the frames in an
+// telemetry payload internal/obs exports), merges the frames in an
 // obs.Aggregator, and renders the combined windowed rates, latency
 // quantiles, and counters — top(1) for the serving fleet.
 //
@@ -109,15 +109,28 @@ func scrape(ep string) (*obs.TelemetryFrame, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: status %d", ep, resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp.Body)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", ep, err)
 	}
-	f, _, err := obs.DecodeTelemetryFrame(body)
+	f, err := obs.DecodeTelemetryFrame(body)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", ep, err)
 	}
 	return f, nil
+}
+
+// readBody reads a telemetry body, stopping one byte past the payload cap
+// so an endpoint that streams without end costs at most that much memory.
+func readBody(r io.Reader) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, obs.MaxTelemetrySize+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(body) > obs.MaxTelemetrySize {
+		return nil, obs.ErrTelemetryTooLarge
+	}
+	return body, nil
 }
 
 // scrapeAll ingests every reachable endpoint, returning per-endpoint

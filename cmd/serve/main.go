@@ -11,7 +11,7 @@
 //	      [-workers N] [-maxbatch 32] [-queue N]
 //	      [-deadline 0] [-selftest] [-conc 256] [-duration 5s]
 //	      [-obs] [-progress 2s] [-manifest run.json] [-httpaddr :0]
-//	      [-telemetry host:port] [-outdir dir] [-cpuprofile f] [-memprofile f]
+//	      [-outdir dir] [-cpuprofile f] [-memprofile f]
 //
 // With -selftest the daemon skips the listener and instead drives its own
 // closed-loop load harness (internal/serve's RunLoad) against the
@@ -25,11 +25,10 @@
 // not just in a live /debug/vars scrape.
 //
 // Live telemetry: -progress lines report the last-10 s window (req/s and
-// e2e p50/p95/p99), -httpaddr additionally serves /debug/telemetry (binary
-// snapshot frames cmd/obstop scrapes), /debug/events (the flight recorder
-// as JSON-lines), and /healthz + /readyz probes; -telemetry streams
-// snapshot frames to an aggregator's TCP listener once a second. With
-// -outdir the flight recorder is also dumped to events.jsonl on shutdown.
+// e2e p50/p95/p99), -httpaddr additionally serves /debug/telemetry (the
+// binary snapshot cmd/obstop scrapes), /debug/events (the flight recorder
+// as JSON-lines), and /healthz + /readyz probes. With -outdir the flight
+// recorder is also dumped to events.jsonl on shutdown.
 package main
 
 import (
@@ -71,13 +70,12 @@ func run() int {
 	progress := flag.Duration("progress", 0, "live progress-line interval on stderr (implies -obs)")
 	manifestPath := flag.String("manifest", "", "write a run-manifest JSON to this file (implies -obs)")
 	httpAddr := flag.String("httpaddr", "", "serve /debug/vars, /debug/pprof, /debug/telemetry, /debug/events, /healthz, /readyz on this address (implies -obs)")
-	telemetry := flag.String("telemetry", "", "push telemetry frames to this aggregator TCP address every second (implies -obs)")
 	obsDir := flag.String("outdir", "", "directory observability artifacts land in: manifest, metrics.json, profiles")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
 
-	if *progress > 0 || *manifestPath != "" || *httpAddr != "" || *telemetry != "" {
+	if *progress > 0 || *manifestPath != "" || *httpAddr != "" {
 		*obsOn = true
 	}
 	if *obsOn {
@@ -155,16 +153,9 @@ func run() int {
 		return 1
 	}
 
-	var pusher *obs.Pusher
-	if *telemetry != "" {
-		pusher = obs.StartPusher(*telemetry, obs.TelemetrySource(), time.Second, obs.Default, obs.DefaultTracer)
-		fmt.Fprintf(os.Stderr, "obs: pushing telemetry to %s as %q\n", *telemetry, obs.TelemetrySource())
-	}
-
 	rep := obs.StartReporter(os.Stderr, *progress, serve.ProgressLine)
 	writeObs := func(runErr error) {
 		rep.Stop()
-		pusher.Stop() // final push carries the span batch
 		if !*obsOn {
 			return
 		}
@@ -195,10 +186,6 @@ func run() int {
 		m.Config["workers"] = fmt.Sprint(*workers)
 		m.Config["telemetry.frame_version"] = fmt.Sprint(obs.TelemetryVersion)
 		m.Config["telemetry.windows"] = "10s/10,1m/12"
-		if *telemetry != "" {
-			m.Config["telemetry.push"] = *telemetry
-			m.Config["telemetry.source"] = obs.TelemetrySource()
-		}
 		if runErr != nil {
 			m.Config["error"] = runErr.Error()
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Benchmark pacing. The legs use a stub cell runner that sleeps cellPace
@@ -132,8 +133,7 @@ func evilWorkerB(b *testing.B, addr string) {
 		b.Errorf("evil hello: %v", err)
 		return
 	}
-	br := newFrameReader(c)
-	if _, err := readFrame(br, nil); err != nil {
+	if _, err := wire.NewReader(c, maxFrame).Next(); err != nil {
 		return // coordinator shut down first; fine
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // ErrClosed reports work submitted to (or stranded on) a coordinator that
@@ -213,12 +214,12 @@ func (co *Coordinator) acceptLoop() {
 
 func (co *Coordinator) handleConn(nc net.Conn) {
 	defer nc.Close()
-	br := newFrameReader(nc)
-	buf, err := readFrame(br, nil)
+	fr := wire.NewReader(nc, maxFrame)
+	payload, err := fr.Next()
 	if err != nil {
 		return
 	}
-	m, err := DecodeMsg(buf)
+	m, err := DecodeMsg(payload)
 	if err != nil || m.Kind != msgHello || m.Proto != ProtocolVersion || m.Name == "" {
 		return
 	}
@@ -236,11 +237,11 @@ func (co *Coordinator) handleConn(nc net.Conn) {
 	obs.Eventf("worker_join", "worker %s joined from %s", cn.name, nc.RemoteAddr())
 	defer co.dropConn(cn)
 	for {
-		buf, err = readFrame(br, buf)
+		payload, err := fr.Next()
 		if err != nil {
 			return
 		}
-		m, err := DecodeMsg(buf)
+		m, err := DecodeMsg(payload)
 		if err != nil {
 			return
 		}
@@ -468,16 +469,13 @@ func (co *Coordinator) failBatch(b *batch, err error) {
 	co.mu.Unlock()
 }
 
-func (co *Coordinator) ingestTelemetry(p []byte) {
-	for len(p) > 0 {
-		f, rest, err := obs.DecodeTelemetryFrame(p)
-		if err != nil {
-			cBadTelemetry.Inc()
-			return
-		}
-		co.agg.Ingest(f)
-		p = rest
+func (co *Coordinator) ingestTelemetry(payload []byte) {
+	f, err := obs.DecodeTelemetryFrame(payload)
+	if err != nil {
+		cBadTelemetry.Inc()
+		return
 	}
+	co.agg.Ingest(f)
 }
 
 // RunCells shards one batch of cells over the connected workers and blocks

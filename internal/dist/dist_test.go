@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // testGrid is a representative slice of the table grids: two browsers ×
@@ -66,6 +68,37 @@ func normalizeRow(c obs.CellSummary) obs.CellSummary {
 	c.CPUMS = 0
 	c.Cached = false
 	return c
+}
+
+// StartInProcWorkers launches n workers inside this process — the
+// multi-worker test mode. Workers are named name+index ("w1", "w2", ...
+// when opt.Name is empty). The returned wait function blocks until every
+// worker exits and reports the first error.
+func StartInProcWorkers(addr string, n int, opt WorkerOptions) (wait func() error) {
+	base := opt.Name
+	if base == "" {
+		base = "w"
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		o := opt
+		o.Name = fmt.Sprintf("%s%d", base, i+1)
+		wg.Add(1)
+		go func(i int, o WorkerOptions) {
+			defer wg.Done()
+			errs[i] = RunWorker(addr, o)
+		}(i, o)
+	}
+	return func() error {
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // TestDistManifestEquivalence is the acceptance gate: a coordinator with
@@ -174,8 +207,7 @@ func evilWorker(t *testing.T, addr string) {
 		t.Errorf("evil hello: %v", err)
 		return
 	}
-	br := newFrameReader(c)
-	p, err := readFrame(br, nil)
+	p, err := wire.NewReader(c, maxFrame).Next()
 	if err != nil {
 		return // coordinator shut down first; fine
 	}

@@ -2,17 +2,15 @@
 // shards experiment cells (core.CellSpec) over N worker replicas and merges
 // their results and telemetry into one run manifest.
 //
-// Wire protocol: length-prefixed binary frames over TCP, the same skeleton
-// as internal/serve — a little-endian u32 payload length followed by the
-// payload, capped at maxFrame so a hostile or corrupt length prefix can
-// never drive allocation. Payloads:
+// Wire protocol: one internal/wire frame per message over TCP, the same
+// framing as internal/serve, its payload capped at maxFrame. Payloads:
 //
 //	hello     (worker→coord): ['H'][proto u32][n u16][n × name bytes]
 //	ready     (worker→coord): ['R']                       (one idle lane)
 //	cell      (coord→worker): ['C'][id u32][attempt u32][n u32][n × CellSpec JSON]
 //	result    (worker→coord): ['D'][id u32][attempt u32][ok u8][n u32][n × body]
 //	                          body = CellResult JSON (ok=1) | error text (ok=0)
-//	telemetry (worker→coord): ['T'][obs telemetry frame bytes]
+//	telemetry (worker→coord): ['T'][one obs telemetry payload]
 //	bye       (coord→worker): ['B']                       (drain and exit)
 //
 // Cell payloads are JSON because specs are configuration, not bulk data —
@@ -23,19 +21,20 @@
 package dist
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"io"
+
+	"repro/internal/wire"
 )
 
-// maxFrame bounds a frame payload (8 MiB: a CellResult carries a confusion
+// maxFrame bounds a message payload (8 MiB: a CellResult carries a confusion
 // matrix, which at full scale is 101×101 ints of JSON).
 const maxFrame = 8 << 20
 
 // ProtocolVersion gates hello: a coordinator drops workers speaking a
-// different version instead of misparsing their frames.
-const ProtocolVersion = 1
+// different version instead of misparsing their frames. Version 2 carries
+// a bare telemetry payload in 'T'; version 1 framed it a second time.
+const ProtocolVersion = 2
 
 // Message kinds (first payload byte).
 const (
@@ -50,13 +49,9 @@ const (
 // maxNameLen bounds the worker name in hello.
 const maxNameLen = 256
 
-// Decode errors. Both ends treat any of them as a fatal protocol error and
-// drop the connection.
-var (
-	ErrFrameTooLarge = errors.New("dist: frame exceeds 8 MiB limit")
-	ErrFrameShort    = errors.New("dist: truncated frame")
-	ErrBadMessage    = errors.New("dist: malformed message payload")
-)
+// ErrBadMessage reports a malformed message payload. Both ends treat it as
+// a fatal protocol error and drop the connection.
+var ErrBadMessage = errors.New("dist: malformed message payload")
 
 // Msg is one decoded protocol message. Which fields are meaningful depends
 // on Kind; Payload aliases the decode buffer and is only valid until the
@@ -68,31 +63,7 @@ type Msg struct {
 	ID      uint32 // cell, result
 	Attempt uint32 // cell, result
 	OK      bool   // result
-	Payload []byte // cell (spec JSON), result (body), telemetry (frame)
-}
-
-// appendFrame appends a length prefix plus payload to dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...)
-}
-
-// DecodeFrame splits the first frame off buf, returning its payload and the
-// remaining bytes. The payload aliases buf; the declared length is
-// validated against both maxFrame and the bytes actually present before
-// anything is sliced.
-func DecodeFrame(buf []byte) (payload, rest []byte, err error) {
-	if len(buf) < 4 {
-		return nil, buf, ErrFrameShort
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	if n > maxFrame {
-		return nil, buf, ErrFrameTooLarge
-	}
-	if uint32(len(buf)-4) < n {
-		return nil, buf, ErrFrameShort
-	}
-	return buf[4 : 4+n], buf[4+n:], nil
+	Payload []byte // cell (spec JSON), result (body), telemetry (obs payload)
 }
 
 // AppendHello appends a framed hello to dst.
@@ -100,33 +71,33 @@ func AppendHello(dst []byte, name string) []byte {
 	if len(name) > maxNameLen {
 		name = name[:maxNameLen]
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+4+2+len(name)))
+	dst, start := wire.Begin(dst)
 	dst = append(dst, msgHello)
 	dst = binary.LittleEndian.AppendUint32(dst, ProtocolVersion)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
-	return append(dst, name...)
+	return wire.End(append(dst, name...), start)
 }
 
 // AppendReady appends a framed ready (one idle lane) to dst.
 func AppendReady(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, 1)
-	return append(dst, msgReady)
+	dst, start := wire.Begin(dst)
+	return wire.End(append(dst, msgReady), start)
 }
 
 // AppendCell appends a framed cell assignment to dst.
 func AppendCell(dst []byte, id, attempt uint32, spec []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+4+4+4+len(spec)))
+	dst, start := wire.Begin(dst)
 	dst = append(dst, msgCell)
 	dst = binary.LittleEndian.AppendUint32(dst, id)
 	dst = binary.LittleEndian.AppendUint32(dst, attempt)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(spec)))
-	return append(dst, spec...)
+	return wire.End(append(dst, spec...), start)
 }
 
 // AppendResult appends a framed cell result to dst. body is CellResult JSON
 // when ok, the error text otherwise.
 func AppendResult(dst []byte, id, attempt uint32, ok bool, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+4+4+1+4+len(body)))
+	dst, start := wire.Begin(dst)
 	dst = append(dst, msgResult)
 	dst = binary.LittleEndian.AppendUint32(dst, id)
 	dst = binary.LittleEndian.AppendUint32(dst, attempt)
@@ -136,22 +107,22 @@ func AppendResult(dst []byte, id, attempt uint32, ok bool, body []byte) []byte {
 		dst = append(dst, 0)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...)
+	return wire.End(append(dst, body...), start)
 }
 
-// AppendTelemetry appends a framed telemetry message to dst. frame is an
-// obs wire telemetry frame (already length-prefixed by obs; carried here
-// opaquely and re-decoded by the coordinator's aggregator).
-func AppendTelemetry(dst, frame []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(frame)))
+// AppendTelemetry appends a framed telemetry message to dst. payload is
+// one obs telemetry payload, carried opaquely and decoded by the
+// coordinator's aggregator.
+func AppendTelemetry(dst, payload []byte) []byte {
+	dst, start := wire.Begin(dst)
 	dst = append(dst, msgTelemetry)
-	return append(dst, frame...)
+	return wire.End(append(dst, payload...), start)
 }
 
 // AppendBye appends a framed bye to dst.
 func AppendBye(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, 1)
-	return append(dst, msgBye)
+	dst, start := wire.Begin(dst)
+	return wire.End(append(dst, msgBye), start)
 }
 
 // DecodeMsg parses one frame payload into a Msg. Declared lengths must
@@ -216,30 +187,4 @@ func DecodeMsg(payload []byte) (Msg, error) {
 		return m, nil
 	}
 	return Msg{}, ErrBadMessage
-}
-
-// newFrameReader wraps a connection for readFrame.
-func newFrameReader(r io.Reader) *bufio.Reader {
-	return bufio.NewReaderSize(r, 64<<10)
-}
-
-// readFrame reads one length-prefixed frame off br, reusing buf when its
-// capacity suffices. The length prefix is validated before any allocation.
-func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

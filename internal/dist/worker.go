@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // WorkerOptions tunes one worker replica. Run is required; the other
@@ -130,15 +131,14 @@ func RunWorker(addr string, opt WorkerOptions) error {
 		}
 	}
 
-	br := newFrameReader(conn)
-	var rbuf []byte
+	fr := wire.NewReader(conn, maxFrame)
 	for {
-		rbuf, err = readFrame(br, rbuf)
+		payload, err := fr.Next()
 		if err != nil {
 			drain()
 			return fmt.Errorf("dist: connection lost: %w", err)
 		}
-		m, err := DecodeMsg(rbuf)
+		m, err := DecodeMsg(payload)
 		if err != nil {
 			drain()
 			return err
@@ -221,40 +221,9 @@ func (w *worker) pushTelemetry() {
 	w.rowsMu.Lock()
 	f.Cells = append([]obs.CellSummary(nil), w.rows...)
 	w.rowsMu.Unlock()
-	frame, err := obs.AppendTelemetryFrame(nil, f)
+	payload, err := obs.AppendTelemetryFrame(nil, f)
 	if err != nil {
 		return
 	}
-	w.write(AppendTelemetry(nil, frame))
-}
-
-// StartInProcWorkers launches n workers inside this process — the
-// multi-worker test mode. Workers are named name+index ("w1", "w2", ...
-// when opt.Name is empty). The returned wait function blocks until every
-// worker exits and reports the first error.
-func StartInProcWorkers(addr string, n int, opt WorkerOptions) (wait func() error) {
-	base := opt.Name
-	if base == "" {
-		base = "w"
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		o := opt
-		o.Name = fmt.Sprintf("%s%d", base, i+1)
-		wg.Add(1)
-		go func(i int, o WorkerOptions) {
-			defer wg.Done()
-			errs[i] = RunWorker(addr, o)
-		}(i, o)
-	}
-	return func() error {
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	w.write(AppendTelemetry(nil, payload))
 }

@@ -1,20 +1,16 @@
 // Package kutrace is a KUtrace-style whole-machine tracer (Sites,
 // "Understanding Software Dynamics"), the tool the paper names for going
 // deeper than eBPF (§5.2): instead of sampling specific tracepoints, it
-// records *every* kernel/user transition on every core into a compactly
-// encoded timeline, and produces CPU-time breakdowns per cause.
+// records *every* kernel/user transition on every core into one timeline,
+// and produces CPU-time breakdowns per cause.
 //
 // In the simulation the ground truth is available from each core's steal
 // log, so the tracer's job is the KUtrace-like part: merging per-core
-// spans into one timeline, computing breakdowns, and encoding the result
-// in a compact varint-delta binary format suitable for long traces.
+// spans into one timeline, computing breakdowns, and rendering it.
 package kutrace
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -103,142 +99,6 @@ func (b Breakdown) String() string {
 		fmt.Fprintf(&sb, "  %-14s %12v\n", c, b.ByCause[c])
 	}
 	return sb.String()
-}
-
-// magic identifies the binary encoding.
-var magic = [4]byte{'K', 'U', 't', '1'}
-
-// Encode writes the timeline in a compact binary format: varint header
-// plus per-span varint deltas (start delta, length, core, cause). Long
-// traces compress to a few bytes per event like real KUtrace buffers.
-func (tl *Timeline) Encode(w io.Writer) error {
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, binary.MaxVarintLen64)
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf, v)
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	if err := writeUvarint(uint64(tl.Cores)); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(tl.Until)); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(len(tl.Spans))); err != nil {
-		return err
-	}
-	var last sim.Time
-	for _, s := range tl.Spans {
-		if err := writeUvarint(uint64(s.Start - last)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(s.Duration())); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(s.Core)); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(s.Cause)); err != nil {
-			return err
-		}
-		last = s.Start
-	}
-	return nil
-}
-
-// Decode parses a timeline written by Encode.
-func Decode(r io.Reader) (*Timeline, error) {
-	br := asByteReader(r)
-	var got [4]byte
-	for i := range got {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("kutrace: short magic: %w", err)
-		}
-		got[i] = b
-	}
-	if got != magic {
-		return nil, errors.New("kutrace: bad magic")
-	}
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	cores, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	until, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	n, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<28 {
-		return nil, fmt.Errorf("kutrace: implausible span count %d", n)
-	}
-	// Do not trust n for preallocation: a forged header could demand
-	// gigabytes before the first truncated varint is noticed (found by
-	// FuzzDecode). Cap the initial capacity and let append grow.
-	capHint := n
-	if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
-	tl := &Timeline{Cores: int(cores), Until: sim.Time(until), Spans: make([]Span, 0, capHint)}
-	var last sim.Time
-	for i := uint64(0); i < n; i++ {
-		ds, err := readUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("kutrace: span %d: %w", i, err)
-		}
-		dur, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		core, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		cause, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		start := last + sim.Time(ds)
-		tl.Spans = append(tl.Spans, Span{
-			Core: int(core), Start: start, End: start + sim.Duration(dur),
-			Cause: cpu.Cause(cause),
-		})
-		last = start
-	}
-	return tl, nil
-}
-
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// asByteReader adapts any reader for varint decoding.
-func asByteReader(r io.Reader) byteReader {
-	if br, ok := r.(byteReader); ok {
-		return br
-	}
-	return &simpleByteReader{r: r}
-}
-
-type simpleByteReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func (s *simpleByteReader) Read(p []byte) (int, error) { return s.r.Read(p) }
-func (s *simpleByteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(s.r, s.buf[:]); err != nil {
-		return 0, err
-	}
-	return s.buf[0], nil
 }
 
 // Render draws each core's kernel occupancy as an ASCII strip of `width`

@@ -1,10 +1,8 @@
 package kutrace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/browser"
 	"repro/internal/cpu"
@@ -62,81 +60,6 @@ func TestBreakdownConservation(t *testing.T) {
 	b := tl.BreakdownFor(kernel.AttackerCore)
 	if b.ByCause[cpu.CauseTimer] == 0 || b.ByCause[cpu.CauseSoftirq] == 0 {
 		t.Fatalf("missing causes: %v", b.ByCause)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	_, tl := capturedMachine(t)
-	var buf bytes.Buffer
-	if err := tl.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Compactness: a few bytes per span.
-	if perSpan := float64(buf.Len()) / float64(len(tl.Spans)); perSpan > 12 {
-		t.Fatalf("encoding too fat: %.1f bytes/span", perSpan)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cores != tl.Cores || got.Until != tl.Until || len(got.Spans) != len(tl.Spans) {
-		t.Fatal("header mismatch")
-	}
-	for i := range tl.Spans {
-		if got.Spans[i] != tl.Spans[i] {
-			t.Fatalf("span %d mismatch: %+v vs %+v", i, got.Spans[i], tl.Spans[i])
-		}
-	}
-}
-
-func TestDecodeGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("xx"),
-		[]byte("BAD1aaaaaaa"),
-		append([]byte("KUt1"), 0xff), // truncated varints
-	}
-	for i, c := range cases {
-		if _, err := Decode(bytes.NewReader(c)); err == nil {
-			t.Errorf("case %d: garbage accepted", i)
-		}
-	}
-}
-
-// Property: encode/decode round-trips arbitrary small timelines exactly.
-func TestRoundTripProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		tl := &Timeline{Cores: 4, Until: 1 << 40}
-		var at sim.Time
-		for i, r := range raw {
-			at += sim.Time(r)
-			tl.Spans = append(tl.Spans, Span{
-				Core:  i % 4,
-				Start: at,
-				End:   at + sim.Duration(r%977) + 1,
-				Cause: cpu.Cause(uint8(r) % uint8(cpu.NumCauses)),
-			})
-		}
-		var buf bytes.Buffer
-		if err := tl.Encode(&buf); err != nil {
-			return false
-		}
-		got, err := Decode(&buf)
-		if err != nil {
-			return false
-		}
-		if len(got.Spans) != len(tl.Spans) {
-			return false
-		}
-		for i := range tl.Spans {
-			if got.Spans[i] != tl.Spans[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,38 +1,25 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// Aggregator merges telemetry frames from N sources — in-process ingests
-// or TCP connections — into one registry-shaped snapshot and one merged
-// set of manifest rows. Because frames carry absolute cumulative values,
-// the aggregator simply keeps the newest frame per source (by sequence
-// number) and sums at read time: ingest is idempotent, reordered or
-// duplicated pushes cannot double-count, and
-// merge(export(r1), export(r2)) == merge(r1, r2) bucket-for-bucket
-// (TestAggregatorMergeEquivalence).
+// Aggregator merges telemetry frames from N sources — scraped
+// /debug/telemetry payloads or a dist coordinator's workers — into one
+// registry-shaped snapshot and one merged set of manifest rows. Because
+// frames carry absolute cumulative values, the aggregator simply keeps the
+// newest frame per source (by sequence number) and sums at read time:
+// ingest is idempotent, reordered or duplicated frames cannot
+// double-count, and merge(export(r1), export(r2)) == merge(r1, r2)
+// bucket-for-bucket (TestAggregatorMergeEquivalence).
 type Aggregator struct {
 	mu      sync.Mutex
-	sources map[string]*sourceEntry
-}
-
-// sourceEntry is one source's lifecycle state: its newest frame and when it
-// last pushed, so coordinators can report per-worker liveness.
-type sourceEntry struct {
-	frame    *TelemetryFrame
-	lastSeen time.Time
+	sources map[string]*TelemetryFrame // newest frame per source
 }
 
 // Aggregator-side observability (meta-telemetry): frames ingested and
@@ -44,12 +31,12 @@ var (
 
 // NewAggregator returns an empty aggregator.
 func NewAggregator() *Aggregator {
-	return &Aggregator{sources: make(map[string]*sourceEntry)}
+	return &Aggregator{sources: make(map[string]*TelemetryFrame)}
 }
 
 // Ingest folds one frame in. Frames must name a source; a frame whose Seq
-// is older than the retained one for the same source is dropped (stale
-// pushes on a reconnect), which is not an error.
+// is older than the retained one for the same source is dropped (a stale
+// frame that arrived late), which is not an error.
 func (a *Aggregator) Ingest(f *TelemetryFrame) error {
 	if f == nil || f.Source == "" {
 		cAggBad.Inc()
@@ -57,52 +44,12 @@ func (a *Aggregator) Ingest(f *TelemetryFrame) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if e, ok := a.sources[f.Source]; ok {
-		e.lastSeen = time.Now()
-		if e.frame.Seq > f.Seq {
-			return nil
-		}
-		e.frame = f
-	} else {
-		a.sources[f.Source] = &sourceEntry{frame: f, lastSeen: time.Now()}
+	if old, ok := a.sources[f.Source]; ok && old.Seq > f.Seq {
+		return nil
 	}
+	a.sources[f.Source] = f
 	cAggFrames.Inc()
 	return nil
-}
-
-// SourceStatus describes one source's lifecycle: its retained sequence
-// number, how many manifest rows it has reported, and when it last pushed.
-type SourceStatus struct {
-	Source   string    `json:"source"`
-	Seq      uint64    `json:"seq"`
-	Cells    int       `json:"cells"`
-	LastSeen time.Time `json:"last_seen"`
-}
-
-// SourceInfo reports every source's status, sorted by name.
-func (a *Aggregator) SourceInfo() []SourceStatus {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]SourceStatus, 0, len(a.sources))
-	for _, k := range sortedKeys(a.sources) {
-		e := a.sources[k]
-		out = append(out, SourceStatus{
-			Source: k, Seq: e.frame.Seq, Cells: len(e.frame.Cells), LastSeen: e.lastSeen,
-		})
-	}
-	return out
-}
-
-// Forget drops a source's retained frame — e.g. a worker that left before
-// contributing any cells — reporting whether it was present. A source that
-// pushes again after Forget re-registers from scratch (its absolute
-// snapshot restores the full state).
-func (a *Aggregator) Forget(source string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_, ok := a.sources[source]
-	delete(a.sources, source)
-	return ok
 }
 
 // Sources lists the source names seen so far, sorted.
@@ -118,7 +65,7 @@ func (a *Aggregator) frames() []*TelemetryFrame {
 	defer a.mu.Unlock()
 	fs := make([]*TelemetryFrame, 0, len(a.sources))
 	for _, k := range sortedKeys(a.sources) {
-		fs = append(fs, a.sources[k].frame)
+		fs = append(fs, a.sources[k])
 	}
 	return fs
 }
@@ -246,106 +193,6 @@ func sameBounds(a, b []float64) bool {
 	return true
 }
 
-// ServeTCP accepts connections on ln and ingests the telemetry frames each
-// one streams until the listener closes. A malformed frame drops its
-// connection (pushers reconnect and re-push absolute state, so nothing is
-// lost).
-func (a *Aggregator) ServeTCP(ln net.Listener) error {
-	var conns sync.WaitGroup
-	defer conns.Wait()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		conns.Add(1)
-		go func() {
-			defer conns.Done()
-			defer c.Close()
-			a.ingestStream(c)
-		}()
-	}
-}
-
-// ingestStream reads length-prefixed telemetry frames until EOF or the
-// first malformed frame.
-func (a *Aggregator) ingestStream(rd io.Reader) {
-	br := bufio.NewReader(rd)
-	var hdr [4]byte
-	payload := make([]byte, 0, 4096)
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n > maxTelemetryFrame {
-			cAggBad.Inc()
-			return
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return
-		}
-		f, err := decodeTelemetryPayload(payload)
-		if err != nil {
-			cAggBad.Inc()
-			return
-		}
-		a.Ingest(f)
-	}
-}
-
-// Pusher periodically exports a registry as telemetry frames to an
-// aggregator's TCP listener. Pushes are absolute snapshots, so a lost
-// connection costs staleness, not data: the pusher redials on the next
-// tick and the first frame after reconnect restores the full state.
-type Pusher struct {
-	addr     string
-	source   string
-	interval time.Duration
-	reg      *Registry
-	tr       *Tracer
-
-	seq    atomic.Uint64
-	conn   net.Conn
-	buf    []byte
-	errs   *Counter
-	pushes *Counter
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-// StartPusher begins pushing reg's snapshots to addr every interval
-// (default 1 s) under the given source name. The final push on Stop
-// includes the tracer's span batch (pass nil to skip spans entirely).
-// Dial failures are retried every tick and counted, never fatal: the
-// workload must not depend on its telemetry sink being up.
-func StartPusher(addr, source string, interval time.Duration, reg *Registry, tr *Tracer) *Pusher {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	if source == "" {
-		source = DefaultTelemetrySource()
-	}
-	p := &Pusher{
-		addr: addr, source: source, interval: interval, reg: reg, tr: tr,
-		errs:   Default.Counter("obs.telemetry.push_errors"),
-		pushes: Default.Counter("obs.telemetry.pushes"),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go p.loop()
-	return p
-}
-
 // DefaultTelemetrySource is the source name used when none is configured:
 // host:pid, unique enough for one aggregation domain.
 func DefaultTelemetrySource() string {
@@ -354,62 +201,4 @@ func DefaultTelemetrySource() string {
 		host = "unknown"
 	}
 	return fmt.Sprintf("%s:%d", host, os.Getpid())
-}
-
-func (p *Pusher) loop() {
-	defer close(p.done)
-	tick := time.NewTicker(p.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			p.push(nil)
-		case <-p.stop:
-			return
-		}
-	}
-}
-
-// push exports one frame (with the given tracer for the final push) and
-// writes it, redialing if needed.
-func (p *Pusher) push(tr *Tracer) {
-	f := ExportFrame(p.source, p.seq.Add(1), p.reg, tr)
-	buf, err := AppendTelemetryFrame(p.buf[:0], f)
-	if err != nil {
-		p.errs.Inc()
-		return
-	}
-	p.buf = buf
-	if p.conn == nil {
-		c, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
-		if err != nil {
-			p.errs.Inc()
-			return
-		}
-		p.conn = c
-	}
-	if _, err := p.conn.Write(p.buf); err != nil {
-		p.conn.Close()
-		p.conn = nil
-		p.errs.Inc()
-		return
-	}
-	p.pushes.Inc()
-}
-
-// Stop pushes one final frame — including the span batch when the pusher
-// was given a tracer — and closes the connection. Idempotent.
-func (p *Pusher) Stop() {
-	if p == nil {
-		return
-	}
-	p.stopOnce.Do(func() {
-		close(p.stop)
-		<-p.done
-		p.push(p.tr)
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
-	})
 }

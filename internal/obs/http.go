@@ -42,7 +42,7 @@ func TelemetrySource() string {
 //
 //	/debug/vars       expvar, including the "obs" registry snapshot
 //	/debug/pprof/     net/http/pprof
-//	/debug/telemetry  one binary TelemetryFrame of the default registry
+//	/debug/telemetry  one binary telemetry payload of the default registry
 //	/debug/events     the flight recorder as JSON-lines, oldest first
 //	/healthz          always 200 while the process serves
 //	/readyz           200 after SetReady(true), 503 otherwise

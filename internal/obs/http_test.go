@@ -74,9 +74,9 @@ func TestServeDebugTelemetryEndpoint(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("content type %q", ct)
 	}
-	f, rest, err := DecodeTelemetryFrame(body)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decode served frame: err=%v rest=%d", err, len(rest))
+	f, err := DecodeTelemetryFrame(body)
+	if err != nil {
+		t.Fatalf("decode served payload: %v", err)
 	}
 	if f.Source != "http-test" || f.Version != TelemetryVersion {
 		t.Fatalf("frame header: %+v", f)
@@ -87,7 +87,7 @@ func TestServeDebugTelemetryEndpoint(t *testing.T) {
 
 	// Each scrape is a new frame with a strictly increasing sequence.
 	_, body2, _ := get(t, "http://"+addr+"/debug/telemetry")
-	f2, _, err := DecodeTelemetryFrame(body2)
+	f2, err := DecodeTelemetryFrame(body2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
-// Telemetry wire format: length-prefixed, versioned binary frames carrying
-// a registry snapshot, per-cell manifest rows, and a span batch from one
-// source process — the unit both the telemetry pusher and the /debug/
-// telemetry endpoint emit and the Aggregator consumes.
-//
-// Framing mirrors internal/serve's wire.go: a little-endian u32 payload
-// length, capped at maxTelemetryFrame, followed by the payload. The
-// payload is self-delimiting:
+// Telemetry wire format: a versioned binary payload carrying a registry
+// snapshot, per-cell manifest rows, and a span batch from one source
+// process — the unit the /debug/telemetry endpoint serves, a dist worker
+// sends in its 'T' message, and the Aggregator consumes. The payload is
+// bare: its carrier (an HTTP body, a dist frame) delimits it, and it is at
+// most MaxTelemetrySize bytes. Layout:
 //
 //	magic u16, version u8, flags u8 (0)
 //	seq u64
@@ -22,11 +20,11 @@
 //
 // Frames carry *absolute* cumulative values, not deltas, plus a sequence
 // number: re-ingesting a frame is idempotent (the aggregator keeps the
-// latest frame per source), which survives dropped or duplicated pushes
+// latest frame per source), which survives dropped or duplicated frames
 // where delta streams would drift. Every declared count is validated
 // against the bytes actually present before anything is allocated, so a
-// hostile length or count can never drive allocation — the same contract
-// serve.DecodeFrame keeps, and FuzzTelemetryDecode enforces it.
+// hostile length or count can never drive allocation; FuzzTelemetryDecode
+// enforces it.
 package obs
 
 import (
@@ -41,26 +39,26 @@ import (
 // reject frames from a newer major format rather than misparse them.
 const TelemetryVersion = 1
 
+// MaxTelemetrySize bounds an encoded telemetry payload.
+const MaxTelemetrySize = 4 << 20
+
 const (
-	telemetryMagic    = 0xB1F5 // "bigger fish"
-	maxTelemetryFrame = 4 << 20
-	maxTelemetryName  = 256
-	maxHistBounds     = 4096
-	maxJSONEntry      = 1 << 20
+	telemetryMagic   = 0xB1F5 // "bigger fish"
+	maxTelemetryName = 256
+	maxHistBounds    = 4096
+	maxJSONEntry     = 1 << 20
 )
 
-// Telemetry decode errors. Transports treat any of them as fatal for the
-// connection that produced the frame.
+// Telemetry codec errors.
 var (
-	ErrTelemetryShort    = errors.New("obs: truncated telemetry frame")
-	ErrTelemetryTooLarge = errors.New("obs: telemetry frame exceeds 4 MiB limit")
-	ErrTelemetryBad      = errors.New("obs: malformed telemetry frame")
+	ErrTelemetryTooLarge = errors.New("obs: telemetry payload exceeds 4 MiB limit")
+	ErrTelemetryBad      = errors.New("obs: malformed telemetry payload")
 )
 
 // TelemetryFrame is one source's telemetry export: its registry snapshot
 // (absolute values), any per-cell manifest rows it has produced, and a
-// span batch. Source names the producing process; Seq increases per push
-// so the aggregator can keep the newest frame per source.
+// span batch. Source names the producing process; Seq increases per
+// export so the aggregator can keep the newest frame per source.
 type TelemetryFrame struct {
 	Version int
 	Seq     uint64
@@ -120,12 +118,12 @@ func appendHist(dst []byte, h HistogramSnapshot) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.Sum))
 }
 
-// AppendTelemetryFrame appends one framed telemetry export to dst. It
-// errors (leaving dst unchanged) if a name exceeds maxTelemetryName, a
-// histogram exceeds maxHistBounds, or the encoded payload would exceed
-// maxTelemetryFrame.
+// AppendTelemetryFrame appends f's encoded payload to dst. It errors
+// (returning dst unchanged) if a name exceeds maxTelemetryName, a
+// histogram exceeds maxHistBounds, or the payload would exceed
+// MaxTelemetrySize.
 func AppendTelemetryFrame(dst []byte, f *TelemetryFrame) ([]byte, error) {
-	p := make([]byte, 0, 1024)
+	p := dst
 	p = binary.LittleEndian.AppendUint16(p, telemetryMagic)
 	p = append(p, byte(TelemetryVersion), 0)
 	p = binary.LittleEndian.AppendUint64(p, f.Seq)
@@ -187,11 +185,10 @@ func AppendTelemetryFrame(dst []byte, f *TelemetryFrame) ([]byte, error) {
 		return dst, err
 	}
 
-	if len(p) > maxTelemetryFrame {
+	if len(p)-len(dst) > MaxTelemetrySize {
 		return dst, ErrTelemetryTooLarge
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
-	return append(dst, p...), nil
+	return p, nil
 }
 
 func appendJSONSection(dst []byte, n int, item func(i int) any) ([]byte, error) {
@@ -321,31 +318,14 @@ func (r *wireReader) hist() HistogramSnapshot {
 	return h
 }
 
-// DecodeTelemetryFrame splits the first telemetry frame off buf and parses
-// it, returning the remaining bytes. Like serve.DecodeFrame, the declared
-// length is validated against maxTelemetryFrame and the bytes present
-// before anything is sliced; unlike it, the payload is fully parsed, and
-// any malformation — bad magic, unsupported version, counts the payload
-// cannot back, trailing garbage — is ErrTelemetryBad.
-func DecodeTelemetryFrame(buf []byte) (f *TelemetryFrame, rest []byte, err error) {
-	if len(buf) < 4 {
-		return nil, buf, ErrTelemetryShort
+// DecodeTelemetryFrame parses one telemetry payload. A payload over
+// MaxTelemetrySize is ErrTelemetryTooLarge; any malformation — bad magic,
+// unsupported version, counts the payload cannot back, trailing garbage —
+// is ErrTelemetryBad.
+func DecodeTelemetryFrame(payload []byte) (*TelemetryFrame, error) {
+	if len(payload) > MaxTelemetrySize {
+		return nil, ErrTelemetryTooLarge
 	}
-	n := binary.LittleEndian.Uint32(buf)
-	if n > maxTelemetryFrame {
-		return nil, buf, ErrTelemetryTooLarge
-	}
-	if uint32(len(buf)-4) < n {
-		return nil, buf, ErrTelemetryShort
-	}
-	f, err = decodeTelemetryPayload(buf[4 : 4+n])
-	if err != nil {
-		return nil, buf, err
-	}
-	return f, buf[4+n:], nil
-}
-
-func decodeTelemetryPayload(payload []byte) (*TelemetryFrame, error) {
 	r := &wireReader{b: payload}
 	if r.u16() != telemetryMagic {
 		return nil, ErrTelemetryBad

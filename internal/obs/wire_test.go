@@ -3,6 +3,7 @@ package obs
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -48,9 +49,9 @@ func TestTelemetryFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rest, err := DecodeTelemetryFrame(buf)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decode: err=%v rest=%d", err, len(rest))
+	got, err := DecodeTelemetryFrame(buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if got.Version != TelemetryVersion || got.Seq != 42 || got.Source != "worker-1" {
 		t.Fatalf("header: %+v", got)
@@ -98,41 +99,45 @@ func TestTelemetryDecodeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeTelemetryFrame(buf[:2]); !errors.Is(err, ErrTelemetryShort) {
-		t.Fatalf("short prefix: %v", err)
-	}
-	// Truncated at every prefix length: must error, never panic.
-	for cut := 4; cut < len(buf); cut += 7 {
-		if _, _, err := DecodeTelemetryFrame(buf[:cut]); err == nil {
+	// Truncated at every length: must error, never panic.
+	for cut := 0; cut < len(buf); cut += 7 {
+		if _, err := DecodeTelemetryFrame(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	// Oversized declared length.
-	huge := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, _, err := DecodeTelemetryFrame(huge); !errors.Is(err, ErrTelemetryTooLarge) {
+	// Over the size cap, refused before parsing.
+	if _, err := DecodeTelemetryFrame(make([]byte, MaxTelemetrySize+1)); !errors.Is(err, ErrTelemetryTooLarge) {
 		t.Fatalf("oversized: %v", err)
 	}
 	// Bad magic.
 	bad := append([]byte(nil), buf...)
-	bad[4] ^= 0xff
-	if _, _, err := DecodeTelemetryFrame(bad); !errors.Is(err, ErrTelemetryBad) {
+	bad[0] ^= 0xff
+	if _, err := DecodeTelemetryFrame(bad); !errors.Is(err, ErrTelemetryBad) {
 		t.Fatalf("bad magic: %v", err)
 	}
 	// Future version.
 	ver := append([]byte(nil), buf...)
-	ver[6] = TelemetryVersion + 1
-	if _, _, err := DecodeTelemetryFrame(ver); !errors.Is(err, ErrTelemetryBad) {
+	ver[2] = TelemetryVersion + 1
+	if _, err := DecodeTelemetryFrame(ver); !errors.Is(err, ErrTelemetryBad) {
 		t.Fatalf("future version: %v", err)
 	}
-	// Trailing garbage inside the declared payload.
-	junk, err := AppendTelemetryFrame(nil, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	junk = append(junk, 0xAB)
-	junk[0] += 1 // declare the extra byte as payload
-	if _, _, err := DecodeTelemetryFrame(junk); !errors.Is(err, ErrTelemetryBad) {
+	// Trailing garbage.
+	junk := append(append([]byte(nil), buf...), 0xAB)
+	if _, err := DecodeTelemetryFrame(junk); !errors.Is(err, ErrTelemetryBad) {
 		t.Fatalf("trailing garbage: %v", err)
+	}
+}
+
+// The encoder refuses a payload over the size cap and leaves dst as it was.
+func TestTelemetryEncodeRejectsOversized(t *testing.T) {
+	f := FrameFromSnapshot("w", 1, Snapshot{})
+	for len(f.Cells) <= MaxTelemetrySize>>10 {
+		f.Cells = append(f.Cells, CellSummary{Scenario: strings.Repeat("x", 1<<10)})
+	}
+	dst := []byte("prefix")
+	got, err := AppendTelemetryFrame(dst, f)
+	if !errors.Is(err, ErrTelemetryTooLarge) || string(got) != "prefix" {
+		t.Fatalf("AppendTelemetryFrame = %d bytes, %v; want dst unchanged, ErrTelemetryTooLarge", len(got), err)
 	}
 }
 
@@ -151,30 +156,23 @@ func FuzzTelemetryDecode(f *testing.F) {
 	}
 	f.Add(full)
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
+	f.Add(append(seed[:len(seed):len(seed)], 0xff, 0xff, 0xff, 0xff, 1))
 	f.Add(full[:len(full)/2])
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		buf := data
-		for hops := 0; hops < 16; hops++ {
-			fr, rest, err := DecodeTelemetryFrame(buf)
-			if err != nil {
-				if fr != nil {
-					t.Fatal("error with non-nil frame")
-				}
-				return
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		fr, err := DecodeTelemetryFrame(payload)
+		if err != nil {
+			if fr != nil {
+				t.Fatal("error with non-nil frame")
 			}
-			// A decoded frame must be internally consistent enough to
-			// re-encode (unless a name the fuzzer forged is oversized,
-			// which encode legitimately rejects).
-			if _, err := AppendTelemetryFrame(nil, fr); err != nil &&
-				!errors.Is(err, ErrTelemetryBad) && !errors.Is(err, ErrTelemetryTooLarge) {
-				t.Fatalf("re-encode of decoded frame: %v", err)
-			}
-			if len(rest) >= len(buf) {
-				t.Fatal("no progress")
-			}
-			buf = rest
+			return
+		}
+		// A decoded frame must be internally consistent enough to
+		// re-encode (unless a name the fuzzer forged is oversized, which
+		// encode legitimately rejects).
+		if _, err := AppendTelemetryFrame(nil, fr); err != nil &&
+			!errors.Is(err, ErrTelemetryBad) && !errors.Is(err, ErrTelemetryTooLarge) {
+			t.Fatalf("re-encode of decoded frame: %v", err)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,17 +389,23 @@ func TestRunLoadCounts(t *testing.T) {
 	}
 }
 
-// failWriteConn is a net.Conn whose reads deliver a fixed byte stream and
-// then block until Close, like a peer that stays connected, and whose
-// every Write fails.
-type failWriteConn struct {
-	net.Conn // nil: only the methods handleConn uses are implemented
-	r        *bytes.Reader
-	closed   chan struct{}
-	once     sync.Once
+// stubConn is a net.Conn whose reads deliver a fixed byte stream and then
+// block until Close, like a peer that stays connected. With failWrites
+// every Write fails; otherwise writes succeed and are counted.
+type stubConn struct {
+	net.Conn   // nil: only the methods handleConn uses are implemented
+	r          *bytes.Reader
+	failWrites bool
+	written    atomic.Int64
+	closed     chan struct{}
+	once       sync.Once
 }
 
-func (c *failWriteConn) Read(p []byte) (int, error) {
+func newStubConn(stream []byte, failWrites bool) *stubConn {
+	return &stubConn{r: bytes.NewReader(stream), failWrites: failWrites, closed: make(chan struct{})}
+}
+
+func (c *stubConn) Read(p []byte) (int, error) {
 	if c.r.Len() > 0 {
 		return c.r.Read(p)
 	}
@@ -406,13 +413,38 @@ func (c *failWriteConn) Read(p []byte) (int, error) {
 	return 0, net.ErrClosed
 }
 
-func (c *failWriteConn) Write([]byte) (int, error) {
-	return 0, errors.New("injected write failure")
+func (c *stubConn) Write(p []byte) (int, error) {
+	if c.failWrites {
+		return 0, errors.New("injected write failure")
+	}
+	c.written.Add(int64(len(p)))
+	return len(p), nil
 }
 
-func (c *failWriteConn) Close() error {
+func (c *stubConn) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return nil
+}
+
+// runHandleConn serves conn and fails the test unless handleConn returns
+// within 10 s and closes the connection.
+func runHandleConn(t *testing.T, s *Server, conn *stubConn) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		s.handleConn(conn)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handleConn still blocked after 10 s")
+	}
+	select {
+	case <-conn.closed:
+	default:
+		t.Fatal("handleConn returned without closing the connection")
+	}
 }
 
 // TestHandleConnWriteFailureDrains pipelines more classify requests than
@@ -430,20 +462,23 @@ func TestHandleConnWriteFailureDrains(t *testing.T) {
 	for id := uint64(0); id < 600; id++ {
 		stream = AppendRequest(stream, id, traces[int(id)%len(traces)])
 	}
-	conn := &failWriteConn{r: bytes.NewReader(stream), closed: make(chan struct{})}
-	done := make(chan struct{})
-	go func() {
-		s.handleConn(conn)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("handleConn still blocked 10 s after its writes started failing")
+	runHandleConn(t, s, newStubConn(stream, true))
+}
+
+// TestHandleConnRefusesOverCapFrame sends a length prefix over the 1 MiB
+// cap, then a valid request: the daemon must drop the connection at the
+// prefix, so the request behind it is never answered.
+func TestHandleConnRefusesOverCapFrame(t *testing.T) {
+	model, prep, traces := testModel(t)
+	s, err := New(Config{Model: model, Prep: prep, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	select {
-	case <-conn.closed:
-	default:
-		t.Fatal("handleConn returned without closing the connection")
+	defer s.Stop()
+	stream := AppendRequest([]byte{0xff, 0xff, 0xff, 0xff}, 1, traces[0])
+	conn := newStubConn(stream, false)
+	runHandleConn(t, s, conn)
+	if n := conn.written.Load(); n != 0 {
+		t.Fatalf("wrote %d bytes to a connection that sent an over-cap frame", n)
 	}
 }

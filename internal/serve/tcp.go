@@ -2,12 +2,12 @@ package serve
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // Serve accepts connections on ln and answers classify requests against
@@ -68,23 +68,11 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 	}()
 
-	br := bufio.NewReader(c)
-	var hdr [4]byte
-	payload := make([]byte, 0, 4096)
+	fr := wire.NewReader(c, maxFrame)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			break
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n > maxFrame {
-			break // protocol violation: drop the connection
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			break
+		payload, err := fr.Next()
+		if err != nil {
+			break // EOF, a broken stream or an over-cap frame: drop the connection
 		}
 		id, xs, err := DecodeRequest(payload, nil)
 		if err != nil {
@@ -95,7 +83,7 @@ func (s *Server) handleConn(c net.Conn) {
 		go func(id uint64, xs []float64) {
 			defer inflight.Done()
 			res, err := s.Classify(xs)
-			frame := AppendResponse(make([]byte, 0, 4+respPayloadLen),
+			frame := AppendResponse(make([]byte, 0, wire.HeaderLen+respPayloadLen),
 				id, statusError(err), uint16(res.Label), float32(res.Prob))
 			out <- frame
 		}(id, xs)
@@ -144,20 +132,10 @@ func Dial(addr string) (*Client, error) {
 }
 
 func (c *Client) readLoop() {
-	br := bufio.NewReader(c.conn)
-	var hdr [4]byte
-	payload := make([]byte, respPayloadLen)
+	fr := wire.NewReader(c.conn, respPayloadLen)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			c.failAll(err)
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if int(n) != respPayloadLen {
-			c.failAll(ErrBadMessage)
-			return
-		}
-		if _, err := io.ReadFull(br, payload); err != nil {
+		payload, err := fr.Next()
+		if err != nil {
 			c.failAll(err)
 			return
 		}

@@ -1,8 +1,5 @@
-// Wire protocol: length-prefixed binary frames over TCP.
-//
-// Every message is one frame — a little-endian u32 payload length followed
-// by the payload, capped at maxFrame so a hostile or corrupt length prefix
-// can never drive allocation. Payloads:
+// Wire protocol: one internal/wire frame per message over TCP, its payload
+// capped at maxFrame. Payloads:
 //
 //	classify request:  [type=1][id u64][n u32][n × f64]   (13 + 8n bytes)
 //	classify response: [type=2][id u64][status u8][label u16][prob f32]
@@ -16,9 +13,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+
+	"repro/internal/wire"
 )
 
-// maxFrame bounds a frame payload (1 MiB ≈ a 130k-point trace —
+// maxFrame bounds a request payload (1 MiB ≈ a 130k-point trace —
 // far beyond any fingerprinting window).
 const maxFrame = 1 << 20
 
@@ -37,53 +36,24 @@ const (
 	statusClosed     = 4
 )
 
-// Decode errors. Transports treat any of them as a fatal protocol error
-// and drop the connection.
-var (
-	ErrFrameTooLarge = errors.New("serve: frame exceeds 1 MiB limit")
-	ErrFrameShort    = errors.New("serve: truncated frame")
-	ErrBadMessage    = errors.New("serve: malformed message payload")
-)
+// ErrBadMessage reports a malformed message payload.
+var ErrBadMessage = errors.New("serve: malformed message payload")
 
 const (
 	reqHeaderLen   = 1 + 8 + 4 // type, id, count
 	respPayloadLen = 1 + 8 + 1 + 2 + 4
 )
 
-// appendFrame appends a length prefix plus payload to dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...)
-}
-
-// DecodeFrame splits the first frame off buf, returning its payload and
-// the remaining bytes. The payload aliases buf — no copying, no
-// allocation, and the declared length is validated against both maxFrame
-// and the bytes actually present before anything is sliced.
-func DecodeFrame(buf []byte) (payload, rest []byte, err error) {
-	if len(buf) < 4 {
-		return nil, buf, ErrFrameShort
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	if n > maxFrame {
-		return nil, buf, ErrFrameTooLarge
-	}
-	if uint32(len(buf)-4) < n {
-		return nil, buf, ErrFrameShort
-	}
-	return buf[4 : 4+n], buf[4+n:], nil
-}
-
 // AppendRequest appends one framed classify request to dst.
 func AppendRequest(dst []byte, id uint64, xs []float64) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(reqHeaderLen+8*len(xs)))
+	dst, start := wire.Begin(dst)
 	dst = append(dst, msgClassify)
 	dst = binary.LittleEndian.AppendUint64(dst, id)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(xs)))
 	for _, v := range xs {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return dst
+	return wire.End(dst, start)
 }
 
 // DecodeRequest parses a classify-request payload, appending the trace
@@ -112,13 +82,13 @@ func DecodeRequest(payload []byte, xs []float64) (id uint64, out []float64, err 
 
 // AppendResponse appends one framed classify response to dst.
 func AppendResponse(dst []byte, id uint64, status byte, label uint16, prob float32) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, respPayloadLen)
+	dst, start := wire.Begin(dst)
 	dst = append(dst, msgResult)
 	dst = binary.LittleEndian.AppendUint64(dst, id)
 	dst = append(dst, status)
 	dst = binary.LittleEndian.AppendUint16(dst, label)
 	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(prob))
-	return dst
+	return wire.End(dst, start)
 }
 
 // DecodeResponse parses a classify-response payload.
