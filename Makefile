@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check-sim-equivalence check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist fuzz-wire ci clean
+.PHONY: all build vet test race check-sim-equivalence check-serve-admission check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist fuzz-wire ci clean
 
 all: build
 
@@ -45,6 +45,28 @@ check-sim-equivalence:
 		| grep -- '^--- PASS: TestFirstCrossingJitteredMatchesFullScan '
 	$(GO) test -run 'TestRingBufferGrownMatchesPreallocated$$' -v ./internal/ebpf \
 		| grep -- '^--- PASS: TestRingBufferGrownMatchesPreallocated '
+
+# The serving daemon admits a request before it pays for it. Under the race
+# detector: a malformed request is answered under its own id; 512 requests
+# arriving at once on one P are all answered, not refused; with the queue
+# full, refusals start no goroutine and allocate nothing; a connection
+# that never reads stalls only itself; a connection whose writes fail
+# still drains. The admitted path's zero allocations are checked without
+# -race, under which sync.Pool drops slots at random. Same grep discipline
+# as the other gates.
+check-serve-admission:
+	$(GO) test -race -run 'TestHandleConnEchoesBadRequestID$$' -v ./internal/serve \
+		| grep -- '^--- PASS: TestHandleConnEchoesBadRequestID '
+	$(GO) test -race -run 'TestHandleConnAnswersBacklog$$' -v ./internal/serve \
+		| grep -- '^--- PASS: TestHandleConnAnswersBacklog '
+	$(GO) test -race -run 'TestRefusalIsFree$$' -v ./internal/serve \
+		| grep -- '^--- PASS: TestRefusalIsFree '
+	$(GO) test -race -run 'TestSlowReaderStallsOnlyItself$$' -v ./internal/serve \
+		| grep -- '^--- PASS: TestSlowReaderStallsOnlyItself '
+	$(GO) test -race -run 'TestHandleConnWriteFailureDrains$$' -v ./internal/serve \
+		| grep -- '^--- PASS: TestHandleConnWriteFailureDrains '
+	$(GO) test -run 'TestAdmittedRequestAllocatesNothing$$' -v ./internal/serve \
+		| grep -- '^--- PASS: TestAdmittedRequestAllocatesNothing '
 
 # The compiled inference path must agree (argmax per trace) with the float64
 # reference on every golden scenario. Run narrowly with -v and grep for the
@@ -140,7 +162,7 @@ fuzz-wire:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzTelemetryDecode$$' -fuzztime 10s ./internal/obs
 
-ci: build vet test race bench-smoke check-sim-equivalence check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist fuzz-wire
+ci: build vet test race bench-smoke check-sim-equivalence check-serve-admission check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist fuzz-wire
 
 clean:
 	$(GO) clean

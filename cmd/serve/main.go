@@ -4,11 +4,17 @@
 // over the length-prefixed binary TCP protocol (internal/serve) with
 // admission-controlled micro-batching.
 //
+// Admission comes before any work: a request that finds the queue (-queue)
+// full is refused with a 16-byte overloaded answer before it is decoded or
+// preprocessed, and one connection may have at most 256 requests
+// unanswered before its reader waits. So the daemon's memory is bounded by
+// its queue depth, not by the load offered to it.
+//
 // Usage:
 //
 //	serve [-addr :7077] [-clf logreg|cnn] [-infer int8|compiled]
 //	      [-scale small|medium|full] [-seed N]
-//	      [-workers N] [-maxbatch 32] [-queue N]
+//	      [-maxbatch 32] [-queue N]
 //	      [-deadline 0] [-selftest] [-conc 256] [-duration 5s]
 //	      [-obs] [-progress 2s] [-manifest run.json] [-httpaddr :0]
 //	      [-outdir dir] [-cpuprofile f] [-memprofile f]
@@ -59,9 +65,8 @@ func run() int {
 	infer := flag.String("infer", "int8", "frozen inference tier: int8 (falls back to compiled per model) or compiled")
 	scaleName := flag.String("scale", "small", "training dataset scale: small, medium, or full")
 	seed := flag.Uint64("seed", 1, "root random seed")
-	workers := flag.Int("workers", 1, "inference workers (each owns a pinned scratch arena)")
 	maxBatch := flag.Int("maxbatch", 0, "max coalesced batch width (0 = the compiled tier's micro-batch width)")
-	queueDepth := flag.Int("queue", 0, "submission queue bound; beyond it requests shed with an overload error (0 = 4×workers×maxbatch)")
+	queueDepth := flag.Int("queue", 0, "submission queue bound; beyond it requests shed with an overload error (0 = 4×maxbatch)")
 	deadline := flag.Duration("deadline", 0, "per-request deadline; expired requests are dropped before scoring (0 = none)")
 	selftest := flag.Bool("selftest", false, "run the closed-loop load harness instead of listening")
 	conc := flag.Int("conc", 256, "selftest: closed-loop client goroutines")
@@ -143,7 +148,6 @@ func run() int {
 		Model:      sm.Model,
 		Prep:       sm.Prep,
 		InputLen:   sm.InputLen,
-		Workers:    *workers,
 		MaxBatch:   *maxBatch,
 		QueueDepth: *queueDepth,
 		Deadline:   *deadline,
@@ -183,7 +187,6 @@ func run() int {
 		m.Config["tier"] = sm.Tier.String()
 		m.Config["scale"] = *scaleName
 		m.Config["seed"] = fmt.Sprint(*seed)
-		m.Config["workers"] = fmt.Sprint(*workers)
 		m.Config["telemetry.frame_version"] = fmt.Sprint(obs.TelemetryVersion)
 		m.Config["telemetry.windows"] = "10s/10,1m/12"
 		if runErr != nil {
@@ -232,7 +235,7 @@ func run() int {
 		srv.Stop()
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "serve: listening on %s (tier %s, %d workers)\n", ln.Addr(), sm.Tier, *workers)
+	fmt.Fprintf(os.Stderr, "serve: listening on %s (tier %s)\n", ln.Addr(), sm.Tier)
 	obs.SetReady(true)
 
 	sig := make(chan os.Signal, 1)

@@ -195,27 +195,3 @@ func BenchmarkServeLatency(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkServeSweep maps the serving configuration space — tier ×
-// worker count — on the logreg100 model. On a single-core host extra
-// workers cannot add throughput (they only split the same CPU), which the
-// sweep documents.
-func BenchmarkServeSweep(b *testing.B) {
-	st := serveBenchState(b)
-	conc := 256
-	for _, tier := range []string{"int8", "f32"} {
-		frozen := st.logreg100.tier(tier)
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/workers=%d", tier, workers), func(b *testing.B) {
-				obs.Default.Reset()
-				s, err := New(Config{Model: frozen, Prep: st.prep, InputLen: st.inLen,
-					Workers: workers, QueueDepth: 2 * conc})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Stop()
-				runLeg(b, s.Classify, st.traces, conc)
-			})
-		}
-	}
-}

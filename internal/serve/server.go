@@ -4,19 +4,22 @@
 // throughput.
 //
 // The core is a micro-batching request pump. Callers never touch the model:
-// Classify preprocesses the trace into a pooled request slot and submits it
-// to a bounded queue; a small pool of inference workers drains the queue,
-// coalescing concurrent requests into dynamic micro-batches aimed at the
-// compiled path's fused-GEMM width (ml.MicroBatchMax). One batched score
-// amortizes the per-call costs — scratch-arena traffic, head-GEMM setup,
-// scheduler handoffs — that a naive one-request-one-PredictBatch design
-// pays per trace.
+// every request, in-process (Classify) or over TCP (Serve), takes the same
+// four steps. It reserves room in a bounded queue, is preprocessed into a
+// pooled request slot, is submitted into the room it reserved, and is
+// answered by the worker that scores it. One inference worker drains the
+// queue, coalescing concurrent requests into dynamic micro-batches aimed
+// at the compiled path's fused-GEMM width (ml.MicroBatchMax). One batched score amortizes the per-call costs —
+// scratch-arena traffic, head-GEMM setup, scheduler handoffs — that a
+// naive one-request-one-PredictBatch design pays per trace.
 //
-// Admission control is explicit rather than emergent: a full queue sheds
-// new work immediately with ErrOverloaded (callers see back-pressure as an
-// error, not unbounded latency), and requests whose deadline has passed
-// are dropped before they occupy a batch slot, so a latency spike cannot
-// cascade into wasted inference on answers nobody is waiting for.
+// Admission control comes first, so refusing costs nothing: a request
+// that finds the queue full, even after the worker had a turn to drain
+// it, is refused with ErrOverloaded before it is decoded or
+// preprocessed (callers see back-pressure as an error, not unbounded
+// latency). Requests whose deadline has passed are dropped before they
+// occupy a batch slot, so a latency spike cannot cascade into wasted
+// inference on answers nobody is waiting for.
 package serve
 
 import (
@@ -47,8 +50,7 @@ var (
 // Config describes a serving instance.
 type Config struct {
 	// Model is the frozen inference artifact (required): a compiled f32 or
-	// int8-quantized model. The model is shared; each worker opens its own
-	// pinned-arena session.
+	// int8-quantized model. The worker scores it on a pinned-arena session.
 	Model ml.Frozen
 	// Prep is applied to every submitted trace before scoring.
 	Prep ml.Preprocessor
@@ -57,15 +59,12 @@ type Config struct {
 	// batch scoring does (ml.Freezer.InputLen). It also sizes pooled
 	// request buffers.
 	InputLen int
-	// Workers is the number of inference workers (default 1). On a
-	// single-core host one worker with wide batches is usually optimal.
-	Workers int
 	// MaxBatch caps coalesced batch width (default ml.MicroBatchMax).
 	// MaxBatch = 1 degenerates to unbatched serving — the baseline the
 	// benchmarks compare against.
 	MaxBatch int
 	// QueueDepth bounds the submission queue; submissions beyond it shed
-	// with ErrOverloaded (default 4 × Workers × MaxBatch).
+	// with ErrOverloaded (default 4 × MaxBatch).
 	QueueDepth int
 	// Deadline, when positive, stamps every request with submit-time +
 	// Deadline; requests still queued past it are dropped with
@@ -85,6 +84,7 @@ type Result struct {
 // slot is one pooled in-flight request. Buffers persist across uses, so
 // the steady-state submit path performs zero heap allocations.
 type slot struct {
+	raw   []float64 // a TCP request's decoded trace (DecodeSamples target)
 	xs    []float64 // preprocessed trace (ApplyInto target)
 	tmp   []float64 // smoothing intermediate
 	x     ml.Tensor // header aliasing xs — rebuilt per use, never shared
@@ -94,12 +94,17 @@ type slot struct {
 	deadline time.Time
 	span     *obs.Span
 
+	// The answer goes to an in-process caller through done, which then
+	// reads res and err, or, when out is set, to a TCP connection's writer
+	// as the response to request id.
 	res  Result
 	err  error
 	done chan struct{} // buffered(1): worker signals completion
+	out  chan<- response
+	id   uint64
 }
 
-// session is the scoring seam the workers drive. *ml.InferSession
+// session is the scoring seam the worker drives. *ml.InferSession
 // satisfies it; tests substitute blocking fakes to exercise admission
 // control without a model.
 type session interface {
@@ -107,13 +112,17 @@ type session interface {
 	Close()
 }
 
-// Server coalesces concurrent Classify calls into micro-batches over a
-// pool of inference workers. Safe for concurrent use.
+// Server coalesces concurrent requests into micro-batches scored by one
+// inference worker. Safe for concurrent use.
 type Server struct {
 	cfg   Config
 	queue chan *slot
-	slots sync.Pool
-	seq   atomic.Uint64 // request sequence, drives span sampling
+	// queued counts the queue room reserved: requests in the queue plus
+	// those reserved and not yet submitted. It never exceeds QueueDepth,
+	// the queue's capacity, so a submission never blocks.
+	queued atomic.Int64
+	slots  sync.Pool
+	seq    atomic.Uint64 // request sequence, drives span sampling
 
 	openSession func() session // test seam; defaults to Model.NewSession
 
@@ -171,7 +180,7 @@ func ProgressLine() string {
 // buffer (or its lock) becoming the hot path.
 const spanSampleMask = 1<<10 - 1
 
-// New validates cfg, builds the server, and starts its workers.
+// New validates cfg, builds the server, and starts its worker.
 func New(cfg Config) (*Server, error) {
 	s, err := newServer(cfg)
 	if err != nil {
@@ -181,20 +190,17 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newServer builds without starting workers — the white-box seam that
+// newServer builds without starting the worker — the white-box seam that
 // lets tests drive batch assembly and admission directly.
 func newServer(cfg Config) (*Server, error) {
 	if cfg.Model == nil {
 		return nil, errors.New("serve: Config.Model is required")
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = ml.MicroBatchMax
 	}
 	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers * cfg.MaxBatch
+		cfg.QueueDepth = 4 * cfg.MaxBatch
 	}
 	if cfg.Par <= 0 {
 		cfg.Par = 1
@@ -219,16 +225,68 @@ func newServer(cfg Config) (*Server, error) {
 }
 
 func (s *Server) start() {
-	s.wg.Add(s.cfg.Workers)
-	for i := 0; i < s.cfg.Workers; i++ {
-		go s.worker()
-	}
+	s.wg.Add(1)
+	go s.worker()
 }
 
 // Classify scores one trace, blocking until a worker answers or admission
 // control sheds the request. values is not retained.
 func (s *Server) Classify(values []float64) (Result, error) {
+	if !s.reserve() {
+		return Result{}, ErrOverloaded
+	}
 	sl := s.slots.Get().(*slot)
+	s.prepare(sl, values)
+	s.submit(sl)
+	<-sl.done
+	res, err := sl.res, sl.err
+	s.slots.Put(sl)
+	return res, err
+}
+
+// reserve takes room in the queue for one request before anything is
+// spent on it, and refuses the request when there is none. A full queue
+// refuses only after the worker, if runnable, had a turn to drain it: on
+// a single P, a reader catching up on a socket backlog after a stall would
+// otherwise fill the queue before the worker ran, and refuse requests
+// that one drain would have admitted. That takes two yields, not one:
+// Gosched puts the caller on the global run queue, which the scheduler
+// serves first on one schedule in 61, so a single yield can hand the P
+// straight back to the caller; the next schedule cannot.
+func (s *Server) reserve() bool {
+	cRequests.Inc()
+	wRequests.Inc()
+	wRequests1m.Inc()
+	for yields := 0; !s.tryReserve(); yields++ {
+		if yields == 2 {
+			cShedQueue.Inc()
+			if s.overloadEp.CompareAndSwap(false, true) {
+				obs.Eventf("overload", "serve: queue full (depth %d): shedding with ErrOverloaded",
+					s.cfg.QueueDepth)
+			}
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// tryReserve takes one unit of queue room if any is left.
+func (s *Server) tryReserve() bool {
+	for {
+		n := s.queued.Load()
+		if n >= int64(s.cfg.QueueDepth) {
+			return false
+		}
+		if s.queued.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// prepare preprocesses values into sl's buffers, padded or trimmed to the
+// model's input length.
+func (s *Server) prepare(sl *slot, values []float64) {
 	if cap(sl.tmp) < len(values) {
 		sl.tmp = make([]float64, 0, len(values))
 	}
@@ -237,56 +295,63 @@ func (s *Server) Classify(values []float64) (Result, error) {
 		sl.xs = resize(sl.xs, n)
 	}
 	sl.x.Rows, sl.x.Cols, sl.x.Data = len(sl.xs), 1, sl.xs
+}
 
-	sl.enq = time.Now()
-	if s.cfg.Deadline > 0 {
-		sl.deadline = sl.enq.Add(s.cfg.Deadline)
-	} else {
-		sl.deadline = time.Time{}
-	}
-	cRequests.Inc()
-	wRequests.Inc()
-	wRequests1m.Inc()
-	if s.seq.Add(1)&spanSampleMask == 0 {
-		sl.span = obs.StartSpan(nil, "serve.request")
-	} else {
-		sl.span = nil
-	}
-
+// submit queues a prepared slot into the room reserve took for it; after
+// Stop it releases that room and answers ErrServerClosed instead. Queue
+// wait and end-to-end latency are timed from here.
+func (s *Server) submit(sl *slot) {
 	// The RLock pairs with Stop's exclusive section: a submission either
 	// observes stopped or completes its send before the queue closes, so
 	// no goroutine ever sends on a closed channel.
 	s.mu.RLock()
 	if s.stopped {
 		s.mu.RUnlock()
-		s.slots.Put(sl)
-		return Result{}, ErrServerClosed
+		s.queued.Add(-1)
+		s.fail(sl, ErrServerClosed)
+		return
 	}
-	select {
-	case s.queue <- sl:
-		s.mu.RUnlock()
-		if s.overloadEp.Load() && s.overloadEp.CompareAndSwap(true, false) {
-			obs.Eventf("overload", "serve: recovered: queue accepting again")
-		}
-	default:
-		s.mu.RUnlock()
-		cShedQueue.Inc()
-		if s.overloadEp.CompareAndSwap(false, true) {
-			obs.Eventf("overload", "serve: queue full (depth %d): shedding with ErrOverloaded",
-				s.cfg.QueueDepth)
-		}
-		sl.span.SetAttr("shed", "overload").End()
-		s.slots.Put(sl)
-		return Result{}, ErrOverloaded
+	sl.enq = time.Now()
+	if s.cfg.Deadline > 0 {
+		sl.deadline = sl.enq.Add(s.cfg.Deadline)
+	} else {
+		sl.deadline = time.Time{}
 	}
-
-	<-sl.done
-	res, err := sl.res, sl.err
-	s.slots.Put(sl)
-	return res, err
+	if s.seq.Add(1)&spanSampleMask == 0 {
+		sl.span = obs.StartSpan(nil, "serve.request")
+	} else {
+		sl.span = nil
+	}
+	s.queue <- sl // never blocks: the reservation holds room for it
+	s.mu.RUnlock()
+	if s.overloadEp.Load() && s.overloadEp.CompareAndSwap(true, false) {
+		obs.Eventf("overload", "serve: recovered: queue accepting again")
+	}
 }
 
-// Stop closes admission and waits for the workers to score everything
+// answer hands a finished slot back: an in-process caller is woken; a TCP
+// request's response goes to its connection's writer, and the slot back
+// to the pool.
+func (s *Server) answer(sl *slot) {
+	if sl.out == nil {
+		sl.done <- struct{}{}
+		return
+	}
+	out := sl.out
+	r := response{id: sl.id, status: statusError(sl.err),
+		label: uint16(sl.res.Label), prob: float32(sl.res.Prob)}
+	sl.out = nil
+	s.slots.Put(sl)
+	out <- r // never blocks: the connection's reader took a credit for it
+}
+
+// fail answers sl with err instead of a score.
+func (s *Server) fail(sl *slot, err error) {
+	sl.res, sl.err = Result{}, err
+	s.answer(sl)
+}
+
+// Stop closes admission and waits for the worker to score everything
 // already queued. Idempotent; concurrent Classify calls either complete
 // or return ErrServerClosed.
 func (s *Server) Stop() {
@@ -299,10 +364,12 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
-// admit moves a dequeued slot into the open batch — unless its deadline
-// already passed, in which case it is answered (and counted) immediately
-// so it never occupies a batch slot.
+// admit releases the queue room a dequeued slot held and moves the slot
+// into the open batch — unless its deadline already passed, in which case
+// it is answered (and counted) immediately so it never occupies a batch
+// slot.
 func (s *Server) admit(sl *slot, batch []*slot) []*slot {
+	s.queued.Add(-1)
 	now := time.Now()
 	if !sl.deadline.IsZero() && now.After(sl.deadline) {
 		cShedDead.Inc()
@@ -310,9 +377,8 @@ func (s *Server) admit(sl *slot, batch []*slot) []*slot {
 			obs.Eventf("deadline", "serve: deadline expired after %s queued (budget %s): dropping",
 				now.Sub(sl.enq).Round(time.Microsecond), s.cfg.Deadline)
 		}
-		sl.err = ErrDeadlineExceeded
 		sl.span.SetAttr("shed", "deadline").End()
-		sl.done <- struct{}{}
+		s.fail(sl, ErrDeadlineExceeded)
 		return batch
 	}
 	if s.deadlineEp.Load() && s.deadlineEp.CompareAndSwap(true, false) {
@@ -388,8 +454,10 @@ func (s *Server) worker() {
 				hE2E.Observe(e2e)
 				wE2E.Observe(e2e)
 				wE2E1m.Observe(e2e)
-				bsl.span.SetAttr("e2e_us", e2e).SetAttr("batch", len(batch)).End()
-				bsl.done <- struct{}{}
+				if bsl.span != nil { // boxing e2e for SetAttr would allocate per request
+					bsl.span.SetAttr("e2e_us", e2e).SetAttr("batch", len(batch)).End()
+				}
+				s.answer(bsl)
 			}
 		}
 		if closed {

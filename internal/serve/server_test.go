@@ -2,15 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ml"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // testModel compiles a small PaperNet (random weights exercise the same
@@ -47,7 +50,7 @@ func TestServeMatchesDirect(t *testing.T) {
 	model, prep, traces := testModel(t)
 	direct := NaiveClassifier(model, prep, 0)
 
-	s, err := New(Config{Model: model, Prep: prep, Workers: 2})
+	s, err := New(Config{Model: model, Prep: prep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +114,7 @@ func newBlockingSession() *blockingSession {
 // immediately instead of queueing unboundedly.
 func TestQueueFullSheds(t *testing.T) {
 	model, prep, traces := testModel(t)
-	s, err := newServer(Config{Model: model, Prep: prep, Workers: 1, MaxBatch: 2, QueueDepth: 4})
+	s, err := newServer(Config{Model: model, Prep: prep, MaxBatch: 2, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +204,7 @@ func TestDeadlineDropsBeforeBatchSlot(t *testing.T) {
 // back ErrDeadlineExceeded, not scored.
 func TestDeadlineShedsEndToEnd(t *testing.T) {
 	model, prep, traces := testModel(t)
-	s, err := newServer(Config{Model: model, Prep: prep, Workers: 1,
+	s, err := newServer(Config{Model: model, Prep: prep,
 		Deadline: time.Millisecond, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +255,7 @@ func TestDeadlineShedsEndToEnd(t *testing.T) {
 func TestConcurrentSubmitShutdown(t *testing.T) {
 	model, prep, traces := testModel(t)
 	for round := 0; round < 3; round++ {
-		s, err := New(Config{Model: model, Prep: prep, Workers: 2, QueueDepth: 16})
+		s, err := New(Config{Model: model, Prep: prep, QueueDepth: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,6 +283,10 @@ func TestConcurrentSubmitShutdown(t *testing.T) {
 		if _, err := s.Classify(traces[0]); !errors.Is(err, ErrServerClosed) {
 			t.Fatalf("post-stop Classify err = %v, want ErrServerClosed", err)
 		}
+		// Every reservation was released, on Stop's path too.
+		if n := s.queued.Load(); n != 0 {
+			t.Fatalf("%d queue reservations outlive Stop", n)
+		}
 	}
 }
 
@@ -287,7 +294,7 @@ func TestConcurrentSubmitShutdown(t *testing.T) {
 // admitted.
 func TestStopDrainsQueue(t *testing.T) {
 	model, prep, traces := testModel(t)
-	s, err := New(Config{Model: model, Prep: prep, Workers: 1})
+	s, err := New(Config{Model: model, Prep: prep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +320,7 @@ func TestStopDrainsQueue(t *testing.T) {
 // client, status mapping — against the in-process result.
 func TestTCPRoundTrip(t *testing.T) {
 	model, prep, traces := testModel(t)
-	s, err := New(Config{Model: model, Prep: prep, Workers: 1})
+	s, err := New(Config{Model: model, Prep: prep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,40 +397,98 @@ func TestRunLoadCounts(t *testing.T) {
 }
 
 // stubConn is a net.Conn whose reads deliver a fixed byte stream and then
-// block until Close, like a peer that stays connected. With failWrites
-// every Write fails; otherwise writes succeed and are counted.
+// block until Close, like a peer that stays connected, or, with eof, end
+// the stream like a peer that has sent its last request. With failWrites
+// every Write fails; with blockWrites every Write blocks until Close, like
+// a peer that never reads; otherwise writes succeed and are recorded.
 type stubConn struct {
-	net.Conn   // nil: only the methods handleConn uses are implemented
-	r          *bytes.Reader
-	failWrites bool
-	written    atomic.Int64
-	closed     chan struct{}
-	once       sync.Once
+	net.Conn    // nil: only the methods handleConn uses are implemented
+	eof         bool
+	failWrites  bool
+	blockWrites bool
+	stalled     chan struct{} // closed when a blocked Write first waits
+	closed      chan struct{}
+	once        sync.Once
+	stallOnce   sync.Once
+
+	mu sync.Mutex // guards r and w
+	r  *bytes.Reader
+	w  bytes.Buffer
 }
 
 func newStubConn(stream []byte, failWrites bool) *stubConn {
-	return &stubConn{r: bytes.NewReader(stream), failWrites: failWrites, closed: make(chan struct{})}
+	return &stubConn{r: bytes.NewReader(stream), failWrites: failWrites,
+		stalled: make(chan struct{}), closed: make(chan struct{})}
 }
 
 func (c *stubConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
 	if c.r.Len() > 0 {
+		defer c.mu.Unlock()
 		return c.r.Read(p)
+	}
+	c.mu.Unlock()
+	if c.eof {
+		return 0, io.EOF
 	}
 	<-c.closed
 	return 0, net.ErrClosed
 }
 
 func (c *stubConn) Write(p []byte) (int, error) {
-	if c.failWrites {
+	switch {
+	case c.failWrites:
 		return 0, errors.New("injected write failure")
+	case c.blockWrites:
+		c.stallOnce.Do(func() { close(c.stalled) })
+		<-c.closed
+		return 0, net.ErrClosed
 	}
-	c.written.Add(int64(len(p)))
-	return len(p), nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.w.Write(p)
 }
 
 func (c *stubConn) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return nil
+}
+
+// unread is the number of stream bytes the handler has not read yet.
+func (c *stubConn) unread() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.r.Len()
+}
+
+// written is the number of bytes the handler has written.
+func (c *stubConn) written() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.w.Len()
+}
+
+// responses decodes everything the handler has written.
+func (c *stubConn) responses(t *testing.T) []response {
+	t.Helper()
+	c.mu.Lock()
+	fr := wire.NewReader(bytes.NewReader(bytes.Clone(c.w.Bytes())), respPayloadLen)
+	c.mu.Unlock()
+	var out []response
+	for {
+		payload, err := fr.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("reading responses: %v", err)
+		}
+		id, status, label, prob, err := DecodeResponse(payload)
+		if err != nil {
+			t.Fatalf("decoding response: %v", err)
+		}
+		out = append(out, response{id: id, status: status, label: label, prob: prob})
+	}
 }
 
 // runHandleConn serves conn and fails the test unless handleConn returns
@@ -453,7 +518,7 @@ func runHandleConn(t *testing.T, s *Server, conn *stubConn) {
 // returns instead of leaving request goroutines blocked forever.
 func TestHandleConnWriteFailureDrains(t *testing.T) {
 	model, prep, traces := testModel(t)
-	s, err := New(Config{Model: model, Prep: prep, Workers: 1})
+	s, err := New(Config{Model: model, Prep: prep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +535,7 @@ func TestHandleConnWriteFailureDrains(t *testing.T) {
 // prefix, so the request behind it is never answered.
 func TestHandleConnRefusesOverCapFrame(t *testing.T) {
 	model, prep, traces := testModel(t)
-	s, err := New(Config{Model: model, Prep: prep, Workers: 1})
+	s, err := New(Config{Model: model, Prep: prep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +543,242 @@ func TestHandleConnRefusesOverCapFrame(t *testing.T) {
 	stream := AppendRequest([]byte{0xff, 0xff, 0xff, 0xff}, 1, traces[0])
 	conn := newStubConn(stream, false)
 	runHandleConn(t, s, conn)
-	if n := conn.written.Load(); n != 0 {
+	if n := conn.written(); n != 0 {
 		t.Fatalf("wrote %d bytes to a connection that sent an over-cap frame", n)
 	}
+}
+
+// requestStream pipelines n classify requests, ids first to first+n-1.
+func requestStream(traces [][]float64, first uint64, n int) []byte {
+	var stream []byte
+	for id := first; id < first+uint64(n); id++ {
+		stream = AppendRequest(stream, id, traces[int(id)%len(traces)])
+	}
+	return stream
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestHandleConnEchoesBadRequestID sends a request whose declared sample
+// count (3) disagrees with the samples it carries (2): it must be refused
+// as a bad request under its own id, or a client matching answers by id
+// would wait for it forever.
+func TestHandleConnEchoesBadRequestID(t *testing.T) {
+	model, prep, _ := testModel(t)
+	s, err := New(Config{Model: model, Prep: prep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	frame := AppendRequest(nil, 7, []float64{1, 2, 3})
+	frame = frame[:len(frame)-8]
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-wire.HeaderLen))
+	conn := newStubConn(frame, false)
+	conn.eof = true
+	runHandleConn(t, s, conn)
+	got := conn.responses(t)
+	if len(got) != 1 || got[0].id != 7 || got[0].status != statusBadRequest {
+		t.Fatalf("answers %+v, want one bad-request answer with id 7", got)
+	}
+}
+
+// TestHandleConnAnswersBacklog puts 512 requests on one connection at
+// once, as a host stall leaves them in the socket, with one P, the real
+// model and the default 128-deep queue. The reader outruns the worker,
+// but a request is refused only when the queue is still full after the
+// worker had a turn, so every one is answered.
+func TestHandleConnAnswersBacklog(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	model, prep, traces := testModel(t)
+	s, err := New(Config{Model: model, Prep: prep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	const n = 512
+	conn := newStubConn(requestStream(traces, 0, n), false)
+	conn.eof = true
+	runHandleConn(t, s, conn)
+	got := conn.responses(t)
+	refused := 0
+	for _, r := range got {
+		if r.status != statusOK {
+			refused++
+		}
+	}
+	if len(got) != n || refused != 0 {
+		t.Fatalf("%d answers, %d not OK; want %d, all OK", len(got), refused, n)
+	}
+}
+
+// TestRefusalIsFree parks the worker and fills the queue, then pipelines
+// twice the in-flight cap of further requests: each is answered
+// overloaded under its own id, no goroutine is started for any of them,
+// and the refusal path allocates nothing.
+func TestRefusalIsFree(t *testing.T) {
+	model, prep, traces := testModel(t)
+	base := runtime.NumGoroutine()
+	s, err := newServer(Config{Model: model, Prep: prep, MaxBatch: 2, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := newBlockingSession()
+	s.openSession = func() session { return blk }
+	s.start()
+	parked := make(chan error, 1)
+	go func() {
+		_, err := s.Classify(traces[0])
+		parked <- err
+	}()
+	<-blk.entered // the worker is parked mid-score, the queue empty
+
+	depth, refused := s.cfg.QueueDepth, 2*maxInFlight
+	conn := newStubConn(requestStream(traces, 0, depth+refused), false)
+	done := make(chan struct{})
+	go func() {
+		s.handleConn(conn)
+		close(done)
+	}()
+	frameLen := wire.HeaderLen + respPayloadLen
+	waitFor(t, "the refusals", func() bool { return conn.written() == refused*frameLen })
+	// Beyond the baseline: the worker, the parked Classify, the handler
+	// and its writer, however many requests were refused.
+	if g := runtime.NumGoroutine(); g > base+4 {
+		t.Errorf("%d goroutines with %d requests queued and %d refused, baseline %d",
+			g, depth, refused, base)
+	}
+	for i, r := range conn.responses(t) {
+		if want := uint64(depth + i); r.id != want || r.status != statusOverloaded {
+			t.Fatalf("answer %d: id %d status %d, want id %d overloaded", i, r.id, r.status, want)
+		}
+	}
+
+	cc := newConn()
+	payload := payloadOf(t, AppendRequest(nil, 99, traces[0]))
+	allocs := testing.AllocsPerRun(100, func() {
+		s.request(cc, payload)
+		if r := <-cc.out; r.status != statusOverloaded {
+			t.Fatalf("status %d, want overloaded", r.status)
+		}
+		<-cc.credits
+	})
+	if allocs != 0 {
+		t.Errorf("refusal path allocates %.1f times per request, want 0", allocs)
+	}
+
+	close(blk.release)
+	if err := <-parked; err != nil {
+		t.Fatalf("parked request: %v", err)
+	}
+	waitFor(t, "the queued answers", func() bool { return conn.written() == (refused+depth)*frameLen })
+	conn.Close()
+	<-done
+	s.Stop()
+	if n := s.queued.Load(); n != 0 {
+		t.Fatalf("%d queue reservations outlive Stop", n)
+	}
+	waitFor(t, "the goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestAdmittedRequestAllocatesNothing drives admitted requests through a
+// connection's admission path and the real model: once the slot pool is
+// warm, decoding, preprocessing, scoring and answering allocate nothing.
+func TestAdmittedRequestAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops slots at random under the race detector")
+	}
+	model, prep, traces := testModel(t)
+	s, err := New(Config{Model: model, Prep: prep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	cc := newConn()
+	payload := payloadOf(t, AppendRequest(nil, 99, traces[0]))
+	allocs := testing.AllocsPerRun(100, func() {
+		s.request(cc, payload)
+		if r := <-cc.out; r.status != statusOK || r.id != 99 {
+			t.Fatalf("answer %+v, want OK for id 99", r)
+		}
+		<-cc.credits
+	})
+	if allocs != 0 {
+		t.Errorf("admitted request allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestSlowReaderStallsOnlyItself pipelines three times the in-flight cap
+// on a connection that never reads its answers. Its reader must stop at
+// the cap, leaving the rest of its stream unread and starting nothing for
+// it, while a second connection to the same server is answered in full.
+// Once both close and the server stops, the goroutine count is back at
+// its baseline.
+func TestSlowReaderStallsOnlyItself(t *testing.T) {
+	model, prep, traces := testModel(t)
+	base := runtime.NumGoroutine()
+	s, err := New(Config{Model: model, Prep: prep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := newStubConn(requestStream(traces, 0, 3*maxInFlight), false)
+	slow.blockWrites = true
+	slowDone := make(chan struct{})
+	go func() {
+		s.handleConn(slow)
+		close(slowDone)
+	}()
+	<-slow.stalled
+	// The slow reader stops once it holds every credit: its stream stops
+	// shrinking, with frames left in it.
+	last := -1
+	waitFor(t, "the slow reader to stall", func() bool {
+		u := slow.unread()
+		if u == last && len(s.queue) == 0 {
+			return true
+		}
+		last = u
+		time.Sleep(10 * time.Millisecond)
+		return false
+	})
+	if last == 0 {
+		t.Fatal("the slow connection's reader read its whole stream past the in-flight cap")
+	}
+	// Beyond the baseline: the worker, the handler and its writer, and one
+	// to spare; a goroutine per unanswered request would add 256.
+	if g := runtime.NumGoroutine(); g > base+4 {
+		t.Errorf("%d goroutines with the slow connection stalled, baseline %d", g, base)
+	}
+
+	const n = 64
+	fast := newStubConn(requestStream(traces, 0, n), false)
+	fast.eof = true
+	runHandleConn(t, s, fast)
+	got := fast.responses(t)
+	if len(got) != n {
+		t.Fatalf("the second connection got %d answers, want %d", len(got), n)
+	}
+	for _, r := range got {
+		if r.status != statusOK {
+			t.Fatalf("the second connection got status %d for request %d", r.status, r.id)
+		}
+	}
+
+	slow.Close()
+	select {
+	case <-slowDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the slow connection's handler still blocked 10 s after Close")
+	}
+	s.Stop()
+	waitFor(t, "the goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
 }

@@ -11,10 +11,12 @@ import (
 )
 
 // Serve accepts connections on ln and answers classify requests against
-// the server until the listener is closed. Each connection gets a reader
-// that decodes frames and a single writer goroutine that serializes
-// responses; requests run concurrently, so one slow classification never
-// heads-of-line-blocks a pipelined connection.
+// the server until the listener is closed. Each connection has a reader,
+// which admits its requests through the same steps as Classify, and a
+// writer goroutine, which writes the answers the reader and the worker
+// hand it. No goroutine is started per request. Answers leave as they are
+// ready, refusals at once and scores in the order they finish, so one
+// slow classification never heads-of-line-blocks a pipelined connection.
 func (s *Server) Serve(ln net.Listener) error {
 	var conns sync.WaitGroup
 	defer conns.Wait()
@@ -34,38 +36,42 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
+// maxInFlight caps the requests one connection may have unanswered. The
+// reader takes a credit for each frame and the writer returns it once the
+// answer is written, so the answer channel, sized to the cap, always has
+// room: the worker never blocks on a connection, and a client that stops
+// reading stalls only its own reader.
+const maxInFlight = 256
+
+// response is one answer on its way to a connection's writer.
+type response struct {
+	id     uint64
+	status byte
+	label  uint16
+	prob   float32
+}
+
+// conn is one connection's answer path: out carries answers from the
+// reader and the worker to the writer, and credits holds one token per
+// unanswered request.
+type conn struct {
+	out     chan response
+	credits chan struct{}
+}
+
+func newConn() *conn {
+	return &conn{out: make(chan response, maxInFlight), credits: make(chan struct{}, maxInFlight)}
+}
+
+// handleConn reads request frames until the stream ends or breaks, then
+// waits for every answer to be written before it closes the connection.
 func (s *Server) handleConn(c net.Conn) {
 	defer c.Close()
-	out := make(chan []byte, 256)
-	var inflight sync.WaitGroup
-
-	// Writer: the only goroutine that touches the socket's write side. It
-	// drains out until the read side closes it, even after a write fails:
-	// request goroutines send on out, and one that blocked there would
-	// keep inflight.Wait, and so Serve, from ever returning. A failed write
-	// closes the connection so the read loop ends too.
+	cc := newConn()
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		bw := bufio.NewWriter(c)
-		var werr error
-		for frame := range out {
-			if werr != nil {
-				continue
-			}
-			_, werr = bw.Write(frame)
-			// Flush when the queue momentarily drains so pipelined bursts
-			// coalesce into few syscalls but a lone request is not delayed.
-			if werr == nil && len(out) == 0 {
-				werr = bw.Flush()
-			}
-			if werr != nil {
-				c.Close()
-			}
-		}
-		if werr == nil {
-			bw.Flush()
-		}
+		cc.write(c)
 	}()
 
 	fr := wire.NewReader(c, maxFrame)
@@ -74,23 +80,64 @@ func (s *Server) handleConn(c net.Conn) {
 		if err != nil {
 			break // EOF, a broken stream or an over-cap frame: drop the connection
 		}
-		id, xs, err := DecodeRequest(payload, nil)
-		if err != nil {
-			out <- AppendResponse(nil, id, statusBadRequest, 0, 0)
-			continue
-		}
-		inflight.Add(1)
-		go func(id uint64, xs []float64) {
-			defer inflight.Done()
-			res, err := s.Classify(xs)
-			frame := AppendResponse(make([]byte, 0, wire.HeaderLen+respPayloadLen),
-				id, statusError(err), uint16(res.Label), float32(res.Prob))
-			out <- frame
-		}(id, xs)
+		s.request(cc, payload)
 	}
-	inflight.Wait()
-	close(out)
+	// Holding every credit means every answer has been written.
+	for i := 0; i < maxInFlight; i++ {
+		cc.credits <- struct{}{}
+	}
+	close(cc.out)
 	<-writerDone
+}
+
+// request admits one request frame on its connection's reader. A
+// malformed or refused request is answered at once with its 16-byte
+// response; an admitted one is decoded into a pooled slot, preprocessed
+// and queued, and the worker that scores it sends the answer.
+func (s *Server) request(cc *conn, payload []byte) {
+	cc.credits <- struct{}{}
+	id, _, err := DecodeRequestHeader(payload)
+	if err != nil {
+		cc.out <- response{id: id, status: statusBadRequest}
+		return
+	}
+	if !s.reserve() {
+		cc.out <- response{id: id, status: statusOverloaded}
+		return
+	}
+	sl := s.slots.Get().(*slot)
+	sl.raw = DecodeSamples(payload, sl.raw)
+	s.prepare(sl, sl.raw)
+	sl.out, sl.id = cc.out, id
+	s.submit(sl)
+}
+
+// write is the only goroutine that touches the socket's write side. It
+// drains out until the reader closes it, returning each answer's credit,
+// even after a write fails: the reader waits for every credit before it
+// returns. A failed write closes the connection so the reader ends too.
+func (cc *conn) write(c net.Conn) {
+	bw := bufio.NewWriter(c)
+	var frame []byte
+	var werr error
+	for r := range cc.out {
+		if werr == nil {
+			frame = AppendResponse(frame[:0], r.id, r.status, r.label, r.prob)
+			_, werr = bw.Write(frame)
+			// Flush when the queue momentarily drains so pipelined bursts
+			// coalesce into few syscalls but a lone request is not delayed.
+			if werr == nil && len(cc.out) == 0 {
+				werr = bw.Flush()
+			}
+			if werr != nil {
+				c.Close()
+			}
+		}
+		<-cc.credits
+	}
+	if werr == nil {
+		bw.Flush()
+	}
 }
 
 // Client is a pipelining TCP client for the serving protocol. Classify is

@@ -56,19 +56,29 @@ func AppendRequest(dst []byte, id uint64, xs []float64) []byte {
 	return wire.End(dst, start)
 }
 
-// DecodeRequest parses a classify-request payload, appending the trace
-// into xs (reused when its capacity suffices). The declared sample count
-// is checked against the payload length before any allocation, so a
-// forged count cannot over-allocate.
-func DecodeRequest(payload []byte, xs []float64) (id uint64, out []float64, err error) {
+// DecodeRequestHeader validates a classify-request payload without
+// touching its samples: the message type, and the declared sample count
+// against the payload length. It returns the request id whenever the
+// payload is long enough to hold one, valid or not, so a malformed
+// request can be answered under its own id.
+func DecodeRequestHeader(payload []byte) (id uint64, n int, err error) {
+	if len(payload) >= 1+8 {
+		id = binary.LittleEndian.Uint64(payload[1:])
+	}
 	if len(payload) < reqHeaderLen || payload[0] != msgClassify {
-		return 0, xs[:0], ErrBadMessage
+		return id, 0, ErrBadMessage
 	}
-	id = binary.LittleEndian.Uint64(payload[1:])
-	n := int(binary.LittleEndian.Uint32(payload[9:]))
+	n = int(binary.LittleEndian.Uint32(payload[9:]))
 	if len(payload) != reqHeaderLen+8*n {
-		return 0, xs[:0], ErrBadMessage
+		return id, 0, ErrBadMessage
 	}
+	return id, n, nil
+}
+
+// DecodeSamples appends the trace of a payload DecodeRequestHeader
+// accepted into xs[:0], reusing xs when its capacity suffices.
+func DecodeSamples(payload []byte, xs []float64) []float64 {
+	n := max(0, (len(payload)-reqHeaderLen)/8)
 	xs = xs[:0]
 	if cap(xs) < n {
 		xs = make([]float64, 0, n)
@@ -77,7 +87,7 @@ func DecodeRequest(payload []byte, xs []float64) (id uint64, out []float64, err 
 		bits := binary.LittleEndian.Uint64(payload[reqHeaderLen+8*i:])
 		xs = append(xs, math.Float64frombits(bits))
 	}
-	return id, xs, nil
+	return xs
 }
 
 // AppendResponse appends one framed classify response to dst.

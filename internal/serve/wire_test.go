@@ -27,10 +27,12 @@ func payloadOf(t testing.TB, frame []byte) []byte {
 
 func TestRequestRoundTrip(t *testing.T) {
 	xs := []float64{0, 1.5, -2.25, math.Pi, math.Inf(1), math.NaN()}
-	id, got, err := DecodeRequest(payloadOf(t, AppendRequest(nil, 42, xs)), nil)
-	if err != nil || id != 42 {
-		t.Fatalf("DecodeRequest: id=%d err=%v", id, err)
+	payload := payloadOf(t, AppendRequest(nil, 42, xs))
+	id, n, err := DecodeRequestHeader(payload)
+	if err != nil || id != 42 || n != len(xs) {
+		t.Fatalf("DecodeRequestHeader: id=%d n=%d err=%v", id, n, err)
 	}
+	got := DecodeSamples(payload, nil)
 	if len(got) != len(xs) {
 		t.Fatalf("len %d != %d", len(got), len(xs))
 	}
@@ -86,8 +88,11 @@ func TestStatusMappingInverts(t *testing.T) {
 }
 
 // FuzzFrameDecode hammers the payload decoders: they must reject any
-// inconsistent payload with an error — never panic, and never allocate
+// inconsistent payload with an error — never panic, and never size
 // storage from an attacker-declared count that the payload cannot back.
+// A request header that validates must decode to samples that re-encode
+// to the same payload byte for byte, and a rejected one must still echo
+// the id its payload holds.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(payloadOf(f, AppendRequest(nil, 1, []float64{1, 2, 3})))
 	f.Add(payloadOf(f, AppendResponse(nil, 2, statusOK, 1, 0.5)))
@@ -97,13 +102,22 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(payloadOf(f, AppendRequest(nil, 3, []float64{1, 2, 3}))[:11])
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if _, xs, err := DecodeRequest(payload, nil); err == nil {
+		id, n, err := DecodeRequestHeader(payload)
+		if err == nil {
 			// A successful decode must be backed byte-for-byte.
-			if len(payload) != reqHeaderLen+8*len(xs) {
-				t.Fatalf("request decode length mismatch: %d vs %d samples", len(payload), len(xs))
+			if len(payload) != reqHeaderLen+8*n {
+				t.Fatalf("request header length mismatch: %d bytes for %d samples", len(payload), n)
 			}
-		} else if cap(xs) > len(payload) {
-			t.Fatalf("failed decode allocated %d floats for a %d-byte payload", cap(xs), len(payload))
+			xs := DecodeSamples(payload, nil)
+			if len(xs) != n {
+				t.Fatalf("decoded %d samples, header declares %d", len(xs), n)
+			}
+			if again := payloadOf(t, AppendRequest(nil, id, xs)); !bytes.Equal(again, payload) {
+				t.Fatalf("re-encoded request differs from its payload")
+			}
+		} else if len(payload) >= 1+8 && id != binary.LittleEndian.Uint64(payload[1:]) {
+			t.Fatalf("rejected request answered under id %d, payload holds %d",
+				id, binary.LittleEndian.Uint64(payload[1:]))
 		}
 		if _, status, _, _, err := DecodeResponse(payload); err == nil {
 			_ = errStatus(status) // must be total
