@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check-sim-equivalence check-serve-admission check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist fuzz-wire ci clean
+.PHONY: all build vet test race check-sim-equivalence check-serve-admission check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist smoke-serve fuzz-wire ci clean
 
 all: build
 
@@ -85,8 +85,8 @@ check-int8-agreement:
 	$(GO) test -run 'TestInt8ReferenceAgreementRate' -v ./internal/core \
 		| grep -- '--- PASS: TestInt8ReferenceAgreementRate'
 
-# The telemetry merge property: aggregating two registries through the
-# binary wire format must equal merging their snapshots directly,
+# The telemetry merge property: aggregating two registries through their
+# JSON telemetry payloads must equal merging their snapshots directly,
 # bucket-for-bucket. Same grep discipline as the other equivalence gates.
 check-telemetry-merge:
 	$(GO) test -run 'TestAggregatorMergeEquivalence' -v ./internal/obs \
@@ -128,7 +128,7 @@ smoke-obs:
 	rm -rf smoke-obs-out
 
 # Telemetry smoke: obstop scrapes its own debug server over HTTP, decodes
-# the binary payload, aggregates it, and prints "obstop selftest ok" — the
+# the JSON payload, aggregates it, and prints "obstop selftest ok" — the
 # whole export/scrape/merge path in one short run.
 smoke-telemetry:
 	$(GO) run ./cmd/obstop -selftest | grep -q 'obstop selftest ok'
@@ -153,6 +153,29 @@ smoke-dist:
 	grep -Eq '"cells_completed": 2,?$$' smoke-dist-out/run.json
 	rm -rf smoke-dist-out
 
+# Serving deployment smoke across real processes: the daemon trains and
+# freezes logreg, listens, and serves its debug endpoints; obstop scrapes
+# its telemetry once and must list the daemon's windowed end-to-end
+# latency; on SIGTERM the daemon must say it is shutting down and exit 0.
+# The daemon gets 60 s to start listening and is killed on every exit
+# path, so no process outlives the target.
+smoke-serve:
+	rm -rf smoke-serve-out
+	$(GO) build -o smoke-serve-out/serve ./cmd/serve
+	$(GO) build -o smoke-serve-out/obstop ./cmd/obstop
+	@set -e; out=smoke-serve-out; \
+	$$out/serve -addr 127.0.0.1:17962 -httpaddr 127.0.0.1:17963 2> $$out/serve.log & pid=$$!; \
+	trap 'kill -9 $$pid 2>/dev/null || true' EXIT; trap 'exit 1' HUP INT TERM; \
+	i=0; until grep -q 'listening on' $$out/serve.log; do \
+		if [ $$i -ge 600 ] || ! kill -0 $$pid 2>/dev/null; then \
+			echo "smoke-serve: daemon is not listening"; cat $$out/serve.log; exit 1; fi; \
+		i=$$((i+1)); sleep 0.1; done; \
+	$$out/obstop -once 127.0.0.1:17963 > $$out/obstop.txt || { cat $$out/obstop.txt; exit 1; }; \
+	grep -q 'serve\.win\.e2e_us' $$out/obstop.txt || { cat $$out/obstop.txt; exit 1; }; \
+	kill -TERM $$pid; wait $$pid; \
+	grep -q 'serve: shutting down' $$out/serve.log || { cat $$out/serve.log; exit 1; }
+	rm -rf smoke-serve-out
+
 # The network decoders under the fuzzer, 10 s each (`test` runs only their
 # seed corpora): the frame reader, and the serve, dist and telemetry
 # payload decoders behind it.
@@ -162,9 +185,9 @@ fuzz-wire:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMsg$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzTelemetryDecode$$' -fuzztime 10s ./internal/obs
 
-ci: build vet test race bench-smoke check-sim-equivalence check-serve-admission check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist fuzz-wire
+ci: build vet test race bench-smoke check-sim-equivalence check-serve-admission check-infer-equivalence check-int8-agreement check-telemetry-merge check-dist-equivalence check-bench smoke-obs smoke-telemetry smoke-dist smoke-serve fuzz-wire
 
 clean:
 	$(GO) clean
 	rm -f cpu.prof mem.prof
-	rm -rf smoke-obs-out smoke-dist-out
+	rm -rf smoke-obs-out smoke-dist-out smoke-serve-out

@@ -1,5 +1,5 @@
 // Command obstop is a live terminal view over running daemons' telemetry:
-// it scrapes each endpoint's /debug/telemetry (the versioned binary
+// it scrapes each endpoint's /debug/telemetry (the versioned JSON
 // telemetry payload internal/obs exports), merges the frames in an
 // obs.Aggregator, and renders the combined windowed rates, latency
 // quantiles, and counters — top(1) for the serving fleet.

@@ -14,17 +14,16 @@
 //
 //	serve [-addr :7077] [-clf logreg|cnn] [-infer int8|compiled]
 //	      [-scale small|medium|full] [-seed N]
-//	      [-maxbatch 32] [-queue N]
-//	      [-deadline 0] [-selftest] [-conc 256] [-duration 5s]
+//	      [-maxbatch 32] [-queue N] [-deadline 0]
 //	      [-obs] [-progress 2s] [-manifest run.json] [-httpaddr :0]
 //	      [-outdir dir] [-cpuprofile f] [-memprofile f]
 //
-// With -selftest the daemon skips the listener and instead drives its own
-// closed-loop load harness (internal/serve's RunLoad) against the
-// in-process client — first through the micro-batching server, then
-// through the naive one-request-one-PredictBatch path — and prints both
-// throughput/latency lines plus the coalescing speedup. This is the
-// quickest way to validate a deployment's sustained classifications/sec.
+// The daemon listens until SIGINT or SIGTERM, then prints "serve: shutting
+// down", fails /readyz, closes the listener and exits 0. Its speed is
+// measured elsewhere: bench/'s serve-open workload drives it with
+// open-loop load over TCP, and `go test -bench BenchmarkServe
+// ./internal/serve` compares the micro-batching server with the naive
+// one-request-one-PredictBatch path in process.
 //
 // Run manifests (-manifest) record the serve.* histograms with
 // interpolated p50/p95/p99, so tail latency lands in the run artifact,
@@ -32,7 +31,7 @@
 //
 // Live telemetry: -progress lines report the last-10 s window (req/s and
 // e2e p50/p95/p99), -httpaddr additionally serves /debug/telemetry (the
-// binary snapshot cmd/obstop scrapes), /debug/events (the flight recorder
+// JSON snapshot cmd/obstop scrapes), /debug/events (the flight recorder
 // as JSON-lines), and /healthz + /readyz probes. With -outdir the flight
 // recorder is also dumped to events.jsonl on shutdown.
 package main
@@ -42,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -68,9 +66,6 @@ func run() int {
 	maxBatch := flag.Int("maxbatch", 0, "max coalesced batch width (0 = the compiled tier's micro-batch width)")
 	queueDepth := flag.Int("queue", 0, "submission queue bound; beyond it requests shed with an overload error (0 = 4×maxbatch)")
 	deadline := flag.Duration("deadline", 0, "per-request deadline; expired requests are dropped before scoring (0 = none)")
-	selftest := flag.Bool("selftest", false, "run the closed-loop load harness instead of listening")
-	conc := flag.Int("conc", 256, "selftest: closed-loop client goroutines")
-	duration := flag.Duration("duration", 5*time.Second, "selftest: measured window per leg")
 	obsOn := flag.Bool("obs", false, "enable the observability layer (metrics + span tracing)")
 	progress := flag.Duration("progress", 0, "live progress-line interval on stderr (implies -obs)")
 	manifestPath := flag.String("manifest", "", "write a run-manifest JSON to this file (implies -obs)")
@@ -108,10 +103,8 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}()
-	dbgAddr := ""
 	if *httpAddr != "" {
-		var closeDebug func() error
-		dbgAddr, closeDebug, err = obs.ServeDebug(*httpAddr)
+		dbgAddr, closeDebug, err := obs.ServeDebug(*httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -201,34 +194,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "obs: manifest written to %s\n", path)
 	}
 
-	if *selftest {
-		// The health probes are part of the deployment surface the selftest
-		// validates: spin a loopback debug server when -httpaddr didn't.
-		if dbgAddr == "" {
-			var closeDebug func() error
-			dbgAddr, closeDebug, err = obs.ServeDebug("127.0.0.1:0")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				srv.Stop()
-				return 1
-			}
-			defer closeDebug()
-		}
-		obs.SetReady(true)
-		err := checkHealth(dbgAddr)
-		if err == nil {
-			err = runSelftest(srv, sm, *conc, *duration)
-		}
-		obs.SetReady(false)
-		srv.Stop()
-		writeObs(err)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -256,99 +221,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// checkHealth asserts the liveness and readiness probes answer 200 on the
-// debug server — the selftest's check that a deployment's health surface
-// is actually wired, not just compiled.
-func checkHealth(dbgAddr string) error {
-	for _, ep := range []string{"/healthz", "/readyz"} {
-		resp, err := http.Get("http://" + dbgAddr + ep)
-		if err != nil {
-			return fmt.Errorf("selftest: GET %s: %w", ep, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("selftest: GET %s: status %d, want 200", ep, resp.StatusCode)
-		}
-	}
-	fmt.Println("selftest: health endpoints ok (/healthz, /readyz)")
-	return nil
-}
-
-// runSelftest measures the coalesced server (in-process and over a
-// localhost TCP round-trip) and the naive direct path back-to-back on the
-// same model and trace corpus, printing every leg and the coalescing
-// speedup.
-func runSelftest(srv *serve.Server, sm *core.ServingModel, conc int, dur time.Duration) error {
-	fmt.Printf("selftest: %d closed-loop clients, %v per leg, %d traces\n",
-		conc, dur, len(sm.Traces))
-
-	// Warm both paths before measuring (arena growth, pool population).
-	warm := serve.LoadOpts{Classify: srv.Classify, Traces: sm.Traces, Conc: conc, Requests: 4 * conc}
-	if _, err := serve.RunLoad(warm); err != nil {
-		return err
-	}
-	coalesced, err := serve.RunLoad(serve.LoadOpts{
-		Classify: srv.Classify, Traces: sm.Traces, Conc: conc, Duration: dur,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  coalesced: %s\n", coalesced)
-
-	tcp, err := runTCPLeg(srv, sm, conc, dur)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  tcp:       %s\n", tcp)
-
-	naive := serve.NaiveClassifier(sm.Model, sm.Prep, sm.InputLen)
-	if _, err := serve.RunLoad(serve.LoadOpts{Classify: naive, Traces: sm.Traces, Conc: conc, Requests: 4 * conc}); err != nil {
-		return err
-	}
-	direct, err := serve.RunLoad(serve.LoadOpts{
-		Classify: naive, Traces: sm.Traces, Conc: conc, Duration: dur,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  naive:     %s\n", direct)
-	if direct.Throughput > 0 {
-		fmt.Printf("  coalescing speedup: %.2fx\n", coalesced.Throughput/direct.Throughput)
-	}
-	return nil
-}
-
-// runTCPLeg drives the same closed-loop load through a localhost TCP
-// round-trip: loopback listener, one pipelining Client shared by every
-// load goroutine, the full frame encode/decode on both sides.
-func runTCPLeg(srv *serve.Server, sm *core.ServingModel, conc int, dur time.Duration) (serve.LoadResult, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return serve.LoadResult{}, err
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	cli, err := serve.Dial(ln.Addr().String())
-	if err != nil {
-		ln.Close()
-		<-done
-		return serve.LoadResult{}, err
-	}
-	warm := serve.LoadOpts{Classify: cli.Classify, Traces: sm.Traces, Conc: conc, Requests: 4 * conc}
-	var res serve.LoadResult
-	if _, err = serve.RunLoad(warm); err == nil {
-		res, err = serve.RunLoad(serve.LoadOpts{
-			Classify: cli.Classify, Traces: sm.Traces, Conc: conc, Duration: dur,
-		})
-	}
-	cli.Close()
-	ln.Close()
-	if serr := <-done; err == nil && serr != nil {
-		err = serr
-	}
-	return res, err
 }
 
 // trainScale maps the scale name to training dataset sizes (Folds is

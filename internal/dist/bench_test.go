@@ -40,7 +40,7 @@ func BenchmarkDistGridPaced(b *testing.B) {
 				b.Fatalf("coordinator: %v", err)
 			}
 			wait := StartInProcWorkers(co.Addr(), workers, WorkerOptions{
-				Name: "bench", TelemetryInterval: time.Hour, Run: stubRun(cellPace),
+				Name: "bench", Run: stubRun(cellPace),
 			})
 			waitForB(b, 5*time.Second, func() bool {
 				return co.Stats().Workers == int64(workers)
@@ -91,7 +91,7 @@ func BenchmarkDistWorkerChurn(b *testing.B) {
 				return co.Stats().Workers == 1
 			})
 			wait := StartInProcWorkers(co.Addr(), 2, WorkerOptions{
-				Name: "bench", TelemetryInterval: time.Hour, Run: stubRun(cellPace),
+				Name: "bench", Run: stubRun(cellPace),
 			})
 			specs := benchGrid()
 			b.StartTimer()

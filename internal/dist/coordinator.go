@@ -32,8 +32,8 @@ var (
 )
 
 // Config tunes a coordinator. The zero value is usable: no per-cell
-// deadline, 4 attempts per cell, 200 ms retry backoff (doubling per
-// attempt), and a fresh telemetry aggregator.
+// deadline, 4 attempts per cell, and 200 ms retry backoff (doubling per
+// attempt).
 type Config struct {
 	// Deadline bounds one assignment of one cell; past it the cell is
 	// taken back and requeued immediately, so a hung worker cannot wedge
@@ -46,9 +46,6 @@ type Config struct {
 	// doubling per attempt — a crashing cell shouldn't immediately take
 	// the next worker down with it. Deadline sheds requeue immediately.
 	RetryBackoff time.Duration
-	// Aggregator receives the workers' telemetry frames (metrics plus
-	// per-cell manifest rows). Defaults to a fresh one.
-	Aggregator *obs.Aggregator
 }
 
 // Coordinator listens for worker replicas and shards cell batches over
@@ -171,9 +168,6 @@ func NewCoordinator(addr string, cfg Config) (*Coordinator, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 200 * time.Millisecond
 	}
-	if cfg.Aggregator == nil {
-		cfg.Aggregator = obs.NewAggregator()
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: listen: %w", err)
@@ -181,7 +175,7 @@ func NewCoordinator(addr string, cfg Config) (*Coordinator, error) {
 	co := &Coordinator{
 		cfg:   cfg,
 		ln:    ln,
-		agg:   cfg.Aggregator,
+		agg:   obs.NewAggregator(),
 		tasks: make(map[uint32]*task),
 		conns: make(map[*conn]struct{}),
 	}

@@ -117,7 +117,7 @@ func TestDistManifestEquivalence(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 	wait := StartInProcWorkers(co.Addr(), 2, WorkerOptions{
-		TelemetryInterval: 50 * time.Millisecond, Run: core.Runner{}.RunCell,
+		Run: core.Runner{}.RunCell,
 	})
 	distributed, err := co.RunCells(grid, 0)
 	if err != nil {
@@ -235,7 +235,7 @@ func TestWorkerDeathRetry(t *testing.T) {
 	// assignment.
 	waitFor(t, time.Second, func() bool { return co.Stats().Workers == 1 })
 	wait := StartInProcWorkers(co.Addr(), 1, WorkerOptions{
-		Name: "good", TelemetryInterval: 20 * time.Millisecond, Run: stubRun(0),
+		Name: "good", Run: stubRun(0),
 	})
 	specs := []core.CellSpec{stubSpec("kill/a"), stubSpec("kill/b"), stubSpec("kill/c")}
 	results, err := co.RunCells(specs, 0)
@@ -286,7 +286,7 @@ func TestDeadlineShed(t *testing.T) {
 	}
 	// The slow worker hangs on its first cell until released.
 	waitSlow := StartInProcWorkers(co.Addr(), 1, WorkerOptions{
-		Name: "slow", TelemetryInterval: time.Hour,
+		Name: "slow",
 		Run: func(spec core.CellSpec) (core.CellResult, error) {
 			select {
 			case hung <- struct{}{}:
@@ -306,7 +306,7 @@ func TestDeadlineShed(t *testing.T) {
 	}()
 	<-hung // the cell is wedged on the slow worker
 	waitFast := StartInProcWorkers(co.Addr(), 1, WorkerOptions{
-		Name: "fast", TelemetryInterval: time.Hour, Run: stubRun(0),
+		Name: "fast", Run: stubRun(0),
 	})
 	<-done
 	if runErr != nil {
@@ -346,7 +346,7 @@ func TestWorkerRejectsMalformedCell(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 	wait := StartInProcWorkers(co.Addr(), 1, WorkerOptions{
-		TelemetryInterval: time.Hour, Run: stubRun(0),
+		Run: stubRun(0),
 	})
 	bad := stubSpec("bad/timer")
 	bad.Scenario.Timer = "quantized" // missing Δ argument
@@ -385,7 +385,7 @@ func TestRunCellsBeforeWorkers(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond) // batch queued, nobody to run it
 	wait := StartInProcWorkers(co.Addr(), 1, WorkerOptions{
-		Lanes: 2, TelemetryInterval: time.Hour, Run: stubRun(time.Millisecond),
+		Lanes: 2, Run: stubRun(time.Millisecond),
 	})
 	<-done
 	if runErr != nil {

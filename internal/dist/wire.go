@@ -32,9 +32,10 @@ import (
 const maxFrame = 8 << 20
 
 // ProtocolVersion gates hello: a coordinator drops workers speaking a
-// different version instead of misparsing their frames. Version 2 carries
-// a bare telemetry payload in 'T'; version 1 framed it a second time.
-const ProtocolVersion = 2
+// different version instead of misparsing their frames. Version 3 carries
+// a JSON telemetry payload in 'T'; version 2 carried the binary payload,
+// and version 1 framed that a second time.
+const ProtocolVersion = 3
 
 // Message kinds (first payload byte).
 const (

@@ -163,7 +163,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	buf = AppendCell(buf, 3, 1, []byte(`{"kind":"experiment"}`))
 	buf = AppendResult(buf, 3, 1, true, []byte(`{}`))
 	buf = AppendResult(buf, 4, 0, false, []byte("err"))
-	buf = AppendTelemetry(buf, []byte{0xB1, 0xF5})
+	buf = AppendTelemetry(buf, []byte(`{"version":2}`))
 	seed = append(seed, payloads(f, buf)...)
 	for _, s := range seed {
 		f.Add(s)

@@ -14,9 +14,17 @@ import (
 	"repro/internal/wire"
 )
 
+// Worker pacing: a worker pushes its metrics and manifest rows once per
+// telemetryInterval (plus a final push when it drains), and retries its
+// dial for dialBudget, which covers the worker-before-coordinator start
+// race.
+const (
+	telemetryInterval = time.Second
+	dialBudget        = 10 * time.Second
+)
+
 // WorkerOptions tunes one worker replica. Run is required; the other
-// fields default to name host:pid, one lane, 1 Hz telemetry, and ~10 s of
-// dial retries.
+// fields default to name host:pid and one lane.
 type WorkerOptions struct {
 	// Name is the worker's telemetry source name; it must be unique within
 	// one coordinator's aggregation domain.
@@ -25,11 +33,6 @@ type WorkerOptions struct {
 	// one outstanding 'R' at the coordinator; compute inside a cell stays
 	// bounded by core's process-wide slot pool regardless.
 	Lanes int
-	// TelemetryInterval paces the metrics/manifest-row pushes (default 1 s).
-	TelemetryInterval time.Duration
-	// DialBudget bounds how long the worker retries connecting before
-	// giving up — it covers the worker-before-coordinator start race.
-	DialBudget time.Duration
 	// Run executes one cell: cmd/experiments passes the RunCell of the
 	// core.Runner it built from the worker's own flags (a Runner without a
 	// dispatcher, so a worker never dispatches back to a coordinator);
@@ -43,12 +46,6 @@ func (o *WorkerOptions) applyDefaults() {
 	}
 	if o.Lanes <= 0 {
 		o.Lanes = 1
-	}
-	if o.TelemetryInterval <= 0 {
-		o.TelemetryInterval = time.Second
-	}
-	if o.DialBudget <= 0 {
-		o.DialBudget = 10 * time.Second
 	}
 }
 
@@ -64,15 +61,15 @@ type worker struct {
 }
 
 // RunWorker connects to a coordinator, pulls cells until it is told to
-// drain (bye), and returns nil on a clean drain. Dial failures retry until
-// DialBudget elapses; a connection lost mid-run is an error (the
-// coordinator requeues this worker's cells elsewhere).
+// drain (bye), and returns nil on a clean drain. Dial failures retry for
+// 10 s; a connection lost mid-run is an error (the coordinator requeues
+// this worker's cells elsewhere).
 func RunWorker(addr string, opt WorkerOptions) error {
 	if opt.Run == nil {
 		return errors.New("dist: WorkerOptions.Run is required")
 	}
 	opt.applyDefaults()
-	conn, err := dialRetry(addr, opt.DialBudget)
+	conn, err := dialRetry(addr, dialBudget)
 	if err != nil {
 		return err
 	}
@@ -102,7 +99,7 @@ func RunWorker(addr string, opt WorkerOptions) error {
 	telWG.Add(1)
 	go func() {
 		defer telWG.Done()
-		tick := time.NewTicker(opt.TelemetryInterval)
+		tick := time.NewTicker(telemetryInterval)
 		defer tick.Stop()
 		for {
 			select {
@@ -217,7 +214,7 @@ func (w *worker) runCell(id, attempt uint32, specJSON []byte) {
 // manifest rows as one absolute-snapshot frame. Frames are idempotent at
 // the aggregator (latest Seq wins), so a lost push costs staleness only.
 func (w *worker) pushTelemetry() {
-	f := obs.ExportFrame(w.opt.Name, w.seq.Add(1), obs.Default, nil)
+	f := obs.ExportFrame(w.opt.Name, w.seq.Add(1), obs.Default)
 	w.rowsMu.Lock()
 	f.Cells = append([]obs.CellSummary(nil), w.rows...)
 	w.rowsMu.Unlock()

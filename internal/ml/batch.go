@@ -8,7 +8,7 @@ import "math"
 // samples at once: each gradient shard packs its samples into one
 // contiguous batch tensor, so Dense becomes one GemmNT/GemmNN pair,
 // ReLU/MaxPool/Dropout and the softmax loss vectorize over the batch, and
-// LSTM/GRU carry all of the shard's hidden states through each timestep
+// LSTM carries all of the shard's hidden states through each timestep
 // together. Inference on one sample (Sequential.Forward) is the N=1 case of
 // the same code.
 //

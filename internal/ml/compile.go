@@ -150,9 +150,6 @@ func Compile(s *Sequential) (*CompiledModel, error) {
 		case *LSTM:
 			cm.body = append(cm.body, &lstmStage{in: l.In, hidden: l.Hidden,
 				wx: f32of(l.wx.W), wh: f32of(l.wh.W), b: f32of(l.b.W)})
-		case *GRU:
-			cm.body = append(cm.body, &gruStage{in: l.In, hidden: l.Hidden,
-				wx: f32of(l.wx.W), wh: f32of(l.wh.W), bx: f32of(l.bx.W), bh: f32of(l.bh.W)})
 		case *Dense:
 			st := &denseStage{in: l.In, out: l.Out, w: f32of(l.w.W), b: f32of(l.b.W)}
 			if idx == len(layers)-1 {
@@ -598,41 +595,6 @@ func (st *lstmStage) forward(sc *inferScratch, si int, x []float32, rows, cols, 
 			gg := tanh32(preRow[3*H+j])
 			c[j] = fg*c[j] + ig*gg
 			h[j] = og * tanh32(c[j])
-		}
-	}
-	return h, 1, H
-}
-
-// gruStage mirrors GRU.forward in float32 (gate order r, z, n; separate bh
-// bias inside the reset gate, torch-style).
-type gruStage struct {
-	in, hidden int
-	wx         []float32 // 3H × In
-	wh         []float32 // 3H × H
-	bx, bh     []float32 // 3H
-}
-
-func (st *gruStage) forward(sc *inferScratch, si int, x []float32, rows, cols, workers int) ([]float32, int, int) {
-	if cols != st.in {
-		panic("ml: compiled GRU input channel mismatch")
-	}
-	T, H := rows, st.hidden
-	xa := sc.buf(3*si, T*3*H)
-	gemmNT32(T, 3*H, st.in, x, st.in, st.wx, st.in, st.bx, xa, 3*H, false, workers, &sc.wg)
-	h := sc.buf(3*si+1, H)
-	for i := range h {
-		h[i] = 0
-	}
-	ha := sc.buf(3*si+2, 3*H)
-	for t := 0; t < T; t++ {
-		row := xa[t*3*H : (t+1)*3*H]
-		copy(ha, st.bh)
-		gemv32(3*H, H, st.wh, H, h, ha)
-		for j := 0; j < H; j++ {
-			r := sigmoid32(row[j] + ha[j])
-			z := sigmoid32(row[H+j] + ha[H+j])
-			n := tanh32(row[2*H+j] + r*ha[2*H+j])
-			h[j] = (1-z)*n + z*h[j]
 		}
 	}
 	return h, 1, H

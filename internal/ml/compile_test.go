@@ -34,8 +34,8 @@ func argmax(p []float64) int {
 
 // testModels returns named models covering every compilable layer kind:
 // the paper CNN-LSTM (Conv1D, ReLU, MaxPool1D, LSTM, Dropout, Dense head),
-// a GRU variant, a Dense-only logreg-shaped model, and a model that does
-// not end in Dense (head-less compile path).
+// a Dense-only logreg-shaped model, and a model that does not end in Dense
+// (head-less compile path).
 func testModels(t *testing.T, inLen int) map[string]*Sequential {
 	t.Helper()
 	paper, err := PaperNet(7, inLen, 4, 8, 6, 0.3)
@@ -43,13 +43,6 @@ func testModels(t *testing.T, inLen int) map[string]*Sequential {
 		t.Fatalf("PaperNet: %v", err)
 	}
 	rng := sim.NewStream(9, "compile-models")
-	gru := &Sequential{Layers: []Layer{
-		NewConv1D(rng.Fork("c"), 1, 5, 8, 3),
-		&ReLU{},
-		&MaxPool1D{Size: 4},
-		NewGRU(rng.Fork("gru"), 5, 6),
-		NewDense(rng.Fork("d"), 6, 4),
-	}}
 	dense := &Sequential{Layers: []Layer{NewDense(rng.Fork("lr"), inLen, 4)}}
 	headless := &Sequential{Layers: []Layer{
 		NewConv1D(rng.Fork("hc"), 1, 4, 8, 3),
@@ -57,7 +50,7 @@ func testModels(t *testing.T, inLen int) map[string]*Sequential {
 		&MaxPool1D{Size: 5},
 	}}
 	return map[string]*Sequential{
-		"paper": paper, "gru": gru, "dense": dense, "headless": headless,
+		"paper": paper, "dense": dense, "headless": headless,
 	}
 }
 

@@ -2,7 +2,7 @@ package ml
 
 import "math"
 
-// Cache-blocked float64 matrix kernels backing Conv1D, LSTM, GRU, and the
+// Cache-blocked float64 matrix kernels backing Conv1D, LSTM, and the
 // data-parallel trainer. All matrices are row-major with an explicit row
 // stride (lda/ldb/ldc), which lets Conv1D hand the kernels overlapping
 // im2col windows (row stride smaller than the row length) without ever

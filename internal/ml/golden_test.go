@@ -62,7 +62,6 @@ var goldenDigests = map[string]uint64{
 	"papernet":         0x62843e9e1122788b,
 	"papernet/predict": 0x713718900a350d18,
 	"logreg":           0x8766474520f7c5bc,
-	"gru":              0xe4140fa6f40277be,
 	"lstm/mixed-len":   0x8bde262b4c9cd273,
 }
 
@@ -103,23 +102,7 @@ func TestTrainedWeightsGolden(t *testing.T) {
 		note("logreg", weightsDigest(lr.model, nil))
 	}
 
-	// (c) GRU+Dense on uniform-length series.
-	gX, gy := equivDataset(32, 24)
-	for _, par := range []int{1, 4} {
-		rng := sim.NewStream(17, "golden-gru")
-		model := &Sequential{Layers: []Layer{
-			NewGRU(rng.Fork("g"), 1, 5),
-			NewDense(rng.Fork("d"), 5, 4),
-		}}
-		var ft fitTrace
-		cfg := FitConfig{Epochs: 4, BatchSize: 8, LR: 0.01, Seed: 21, Parallelism: par, Verbose: ft.verbose}
-		if err := model.Fit(gX, gy, nil, nil, cfg); err != nil {
-			t.Fatal(err)
-		}
-		note("gru", weightsDigest(model, ft))
-	}
-
-	// (d) LSTM+Dense on mixed-length series, with mixed-length validation.
+	// (c) LSTM+Dense on mixed-length series, with mixed-length validation.
 	mX, my := mixedLengthSeries(45)
 	for _, par := range []int{1, 3} {
 		rng := sim.NewStream(19, "golden-lstm")

@@ -111,18 +111,6 @@ func TestGradCheckLSTM(t *testing.T) {
 	gradCheck(t, "lstm+dropout+dense", model, X, y, 1e-6)
 }
 
-func TestGradCheckGRU(t *testing.T) {
-	rng := sim.NewStream(35, "gc-gru")
-	model := &Sequential{Layers: []Layer{
-		NewGRU(rng.Fork("g"), 1, 5),
-		NewDense(rng.Fork("d"), 5, 3),
-	}}
-	X, y := gradData(6, 7, 3)
-	gradCheck(t, "gru+dense", model, X, y, 1e-6)
-}
-
-// TestGradCheckMixedLengths checks a batch whose gradient shards mix series
-// lengths, so each shard runs as consecutive same-shape sub-batches.
 func TestGradCheckMixedLengths(t *testing.T) {
 	rng := sim.NewStream(36, "gc-mixed")
 	model := &Sequential{Layers: []Layer{
@@ -169,19 +157,6 @@ func TestLSTMGradients(t *testing.T) {
 		x.Data[i] = math.Cos(float64(i) * 0.7)
 	}
 	gradCheck(t, "lstm+dense/one", model, []*Tensor{x}, []int{0}, 1e-4)
-}
-
-func TestGRUGradients(t *testing.T) {
-	rng := sim.NewStream(21, "gru")
-	model := &Sequential{Layers: []Layer{
-		NewGRU(rng.Fork("g"), 2, 4),
-		NewDense(rng.Fork("d"), 4, 3),
-	}}
-	x := NewTensor(6, 2)
-	for i := range x.Data {
-		x.Data[i] = math.Sin(float64(i) * 0.9)
-	}
-	gradCheck(t, "gru+dense/one", model, []*Tensor{x}, []int{1}, 1e-4)
 }
 
 func TestFullPaperNetGradients(t *testing.T) {

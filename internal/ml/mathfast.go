@@ -3,7 +3,7 @@ package ml
 import "math"
 
 // Fast float32 transcendentals for the frozen inference tiers. The compiled
-// f32 path computes LSTM/GRU gates through math.Exp/math.Tanh in float64 —
+// f32 path computes LSTM gates through math.Exp/math.Tanh in float64 —
 // accurate, but ~15% of a CNN+LSTM forward pass. The quantized tier's
 // acceptance bar is argmax agreement (not bitwise parity), so its gate
 // nonlinearities use a Cephes-style single-precision exp with ~1e-7

@@ -18,7 +18,7 @@ import (
 // calibration pass over a small held-out sample, quantized unsigned around
 // the fixed zero point 128. The kernel accumulates Σ q·wq in i32 and the
 // epilogue applies real ≈ (acc − 128·Σwq)·sw·sx + bias in f32, so each
-// stage hands the next an ordinary f32 activation and the pool/relu/GRU
+// stage hands the next an ordinary f32 activation and the pool/relu
 // stages pass through unchanged.
 //
 // The final Dense head (and softmax) stays f32: logit gaps at the argmax
@@ -51,7 +51,7 @@ func (qm *QuantizedModel) QuantizedStages() int { return qm.nq }
 // degenerate (zero or non-finite activation ranges), when weights are
 // non-finite, or when a reduction is long enough to threaten the i32
 // accumulator. The source model is untouched; unquantizable-by-design
-// stages (pool, relu, GRU) and the Dense head are shared with cm.
+// stages (pool, relu) and the Dense head are shared with cm.
 func Quantize(cm *CompiledModel, calib []*Tensor) (*QuantizedModel, error) {
 	if cm == nil {
 		return nil, errors.New("ml: Quantize: nil model")

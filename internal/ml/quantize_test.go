@@ -32,7 +32,7 @@ func quantizeForTest(t *testing.T, model *Sequential, calib []*Tensor) (*Compile
 func TestQuantizedMatchesCompiledArgmax(t *testing.T) {
 	const inLen = 128
 	X := testInputs(41, 24, inLen)
-	wantQ := map[string]int{"paper": 3, "gru": 1, "dense": 0, "headless": 1}
+	wantQ := map[string]int{"paper": 3, "dense": 0, "headless": 1}
 	for name, model := range testModels(t, inLen) {
 		cm, qm := quantizeForTest(t, model, X[:8])
 		if qm.QuantizedStages() != wantQ[name] {

@@ -1,15 +1,8 @@
 package ml
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
-
 // Weights is a snapshot of every learnable parameter of a model, in layer
-// order. It lets a trained classifier be persisted (offline training phase)
-// and reloaded for the online attack phase, like the paper's saved Keras
-// models.
+// order: the test oracle that pins what training produced
+// (TestTrainedWeightsGolden digests it) without reaching into layers.
 type Weights struct {
 	Blobs [][]float64
 }
@@ -22,35 +15,4 @@ func (s *Sequential) ExportWeights() Weights {
 		w.Blobs[i] = append([]float64(nil), p.W...)
 	}
 	return w
-}
-
-// ImportWeights restores parameters exported from an identically shaped
-// model.
-func (s *Sequential) ImportWeights(w Weights) error {
-	params := s.Params()
-	if len(params) != len(w.Blobs) {
-		return fmt.Errorf("ml: weight count mismatch: model has %d blobs, snapshot has %d",
-			len(params), len(w.Blobs))
-	}
-	for i, p := range params {
-		if len(p.W) != len(w.Blobs[i]) {
-			return fmt.Errorf("ml: blob %d size mismatch: %d vs %d", i, len(p.W), len(w.Blobs[i]))
-		}
-		copy(p.W, w.Blobs[i])
-	}
-	return nil
-}
-
-// WriteWeights serializes a weight snapshot with encoding/gob.
-func WriteWeights(w io.Writer, ws Weights) error {
-	return gob.NewEncoder(w).Encode(ws)
-}
-
-// ReadWeights deserializes a snapshot written by WriteWeights.
-func ReadWeights(r io.Reader) (Weights, error) {
-	var ws Weights
-	if err := gob.NewDecoder(r).Decode(&ws); err != nil {
-		return Weights{}, fmt.Errorf("ml: weights decode: %w", err)
-	}
-	return ws, nil
 }

@@ -1,65 +1,10 @@
 package ml
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/sim"
 )
-
-func TestWeightsRoundTrip(t *testing.T) {
-	rng := sim.NewStream(1, "w")
-	a := &Sequential{Layers: []Layer{NewDense(rng.Fork("a"), 4, 3)}}
-	b := &Sequential{Layers: []Layer{NewDense(rng.Fork("b"), 4, 3)}}
-
-	x := FromSeries([]float64{1, -2, 3, 0.5})
-	pa := a.Predict(x)
-	pb := b.Predict(x)
-	same := true
-	for i := range pa {
-		if pa[i] != pb[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("independently initialized models should differ")
-	}
-
-	var buf bytes.Buffer
-	if err := WriteWeights(&buf, a.ExportWeights()); err != nil {
-		t.Fatal(err)
-	}
-	ws, err := ReadWeights(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ImportWeights(ws); err != nil {
-		t.Fatal(err)
-	}
-	pb = b.Predict(x)
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("predictions differ after weight transfer: %v vs %v", pa, pb)
-		}
-	}
-}
-
-func TestImportWeightsShapeChecks(t *testing.T) {
-	rng := sim.NewStream(2, "w")
-	m := &Sequential{Layers: []Layer{NewDense(rng, 2, 2)}}
-	if err := m.ImportWeights(Weights{Blobs: [][]float64{{1}}}); err == nil {
-		t.Fatal("blob count mismatch accepted")
-	}
-	if err := m.ImportWeights(Weights{Blobs: [][]float64{{1, 2, 3}, {4, 5}}}); err == nil {
-		t.Fatal("blob size mismatch accepted")
-	}
-}
-
-func TestReadWeightsGarbage(t *testing.T) {
-	if _, err := ReadWeights(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
 
 func TestExportIsACopy(t *testing.T) {
 	rng := sim.NewStream(3, "w")

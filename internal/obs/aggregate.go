@@ -70,6 +70,16 @@ func (a *Aggregator) frames() []*TelemetryFrame {
 	return fs
 }
 
+// sortedKeys returns map keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Merged sums every source's latest snapshot into one.
 func (a *Aggregator) Merged() Snapshot {
 	fs := a.frames()

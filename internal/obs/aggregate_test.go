@@ -21,10 +21,10 @@ func mustFrame(t *testing.T, source string, seq uint64, snap Snapshot) *Telemetr
 	return f
 }
 
-// TestAggregatorMergeEquivalence is the round-trip property the ISSUE
-// pins: exporting two live registries as TelemetryFrames (through the
-// binary codec) and merging them in the Aggregator must be bucket- and
-// counter-identical to merging the registry snapshots directly.
+// TestAggregatorMergeEquivalence is the round-trip property: exporting two
+// live registries as TelemetryFrames (through the JSON payload) and
+// merging them in the Aggregator must be bucket- and counter-identical to
+// merging the registry snapshots directly.
 func TestAggregatorMergeEquivalence(t *testing.T) {
 	s1 := liveSnapshot(t, 0)
 	s2 := liveSnapshot(t, 13)

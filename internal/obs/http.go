@@ -42,7 +42,7 @@ func TelemetrySource() string {
 //
 //	/debug/vars       expvar, including the "obs" registry snapshot
 //	/debug/pprof/     net/http/pprof
-//	/debug/telemetry  one binary telemetry payload of the default registry
+//	/debug/telemetry  one JSON telemetry payload of the default registry
 //	/debug/events     the flight recorder as JSON-lines, oldest first
 //	/healthz          always 200 while the process serves
 //	/readyz           200 after SetReady(true), 503 otherwise
@@ -78,13 +78,13 @@ func DebugMux() *http.ServeMux {
 }
 
 func handleTelemetry(w http.ResponseWriter, _ *http.Request) {
-	f := ExportFrame(TelemetrySource(), telemetrySeq.Add(1), Default, nil)
+	f := ExportFrame(TelemetrySource(), telemetrySeq.Add(1), Default)
 	buf, err := AppendTelemetryFrame(nil, f)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf)
 }
 

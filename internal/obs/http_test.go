@@ -71,7 +71,7 @@ func TestServeDebugTelemetryEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/telemetry: %d", code)
 	}
-	if ct := hdr.Get("Content-Type"); ct != "application/octet-stream" {
+	if ct := hdr.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("content type %q", ct)
 	}
 	f, err := DecodeTelemetryFrame(body)

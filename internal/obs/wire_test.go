@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -35,11 +36,6 @@ func testFrame(t testing.TB) *TelemetryFrame {
 		{Scenario: "table1/chrome/linux", WallMS: 12.5, Traces: 80, Folds: 2, Top1Mean: 0.91},
 		{Scenario: "table2/quiet", WallMS: 3.25, Cached: true},
 	}
-	f.Spans = []SpanRecord{
-		{ID: 1, Name: "cell", Start: time.Unix(100, 0).UTC(), DurationNS: 5000,
-			Attrs: map[string]any{"scenario": "table1"}},
-		{ID: 2, Parent: 1, Name: "collect", Start: time.Unix(100, 1).UTC(), DurationNS: 2500},
-	}
 	return f
 }
 
@@ -70,9 +66,6 @@ func TestTelemetryFrameRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Cells, f.Cells) {
 		t.Fatalf("cells: %v != %v", got.Cells, f.Cells)
-	}
-	if !reflect.DeepEqual(got.Spans, f.Spans) {
-		t.Fatalf("spans: %v != %v", got.Spans, f.Spans)
 	}
 }
 
@@ -109,17 +102,36 @@ func TestTelemetryDecodeRejects(t *testing.T) {
 	if _, err := DecodeTelemetryFrame(make([]byte, MaxTelemetrySize+1)); !errors.Is(err, ErrTelemetryTooLarge) {
 		t.Fatalf("oversized: %v", err)
 	}
-	// Bad magic.
-	bad := append([]byte(nil), buf...)
-	bad[0] ^= 0xff
-	if _, err := DecodeTelemetryFrame(bad); !errors.Is(err, ErrTelemetryBad) {
-		t.Fatalf("bad magic: %v", err)
+	// Another version, older or newer.
+	for _, v := range []int{TelemetryVersion - 1, TelemetryVersion + 1} {
+		other, err := json.Marshal(&TelemetryFrame{Version: v, Seq: 1, Source: "w"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeTelemetryFrame(other); !errors.Is(err, ErrTelemetryBad) {
+			t.Fatalf("version %d: %v", v, err)
+		}
 	}
-	// Future version.
-	ver := append([]byte(nil), buf...)
-	ver[2] = TelemetryVersion + 1
-	if _, err := DecodeTelemetryFrame(ver); !errors.Is(err, ErrTelemetryBad) {
-		t.Fatalf("future version: %v", err)
+	// A histogram whose counts do not match its bounds, cumulative and
+	// windowed: Quantile would index past its counts.
+	short := testFrame(t)
+	h := short.Metrics.Histograms["h.lat"]
+	h.Counts = h.Counts[:len(h.Bounds)]
+	short.Metrics.Histograms["h.lat"] = h
+	longWin := testFrame(t)
+	w := longWin.Metrics.Windows["win.lat"]
+	wh := *w.Hist
+	wh.Counts = append(wh.Counts, 0)
+	w.Hist = &wh
+	longWin.Metrics.Windows["win.lat"] = w
+	for name, fr := range map[string]*TelemetryFrame{"cumulative": short, "windowed": longWin} {
+		bad, err := AppendTelemetryFrame(nil, fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeTelemetryFrame(bad); !errors.Is(err, ErrTelemetryBad) {
+			t.Fatalf("%s histogram with mismatched counts: %v", name, err)
+		}
 	}
 	// Trailing garbage.
 	junk := append(append([]byte(nil), buf...), 0xAB)
@@ -142,8 +154,9 @@ func TestTelemetryEncodeRejectsOversized(t *testing.T) {
 }
 
 // FuzzTelemetryDecode: the decoder must bound itself by the bytes present
-// — no panic, and no allocation driven by a declared count the payload
-// cannot back. A successful decode must re-encode.
+// and never panic. A frame it accepts must re-encode, merge with itself,
+// and yield quantiles from every histogram, as the aggregator and obstop
+// use it.
 func FuzzTelemetryDecode(f *testing.F) {
 	seed, err := AppendTelemetryFrame(nil, &TelemetryFrame{Source: "s", Seq: 1})
 	if err != nil {
@@ -156,8 +169,10 @@ func FuzzTelemetryDecode(f *testing.F) {
 	}
 	f.Add(full)
 	f.Add([]byte{})
-	f.Add(append(seed[:len(seed):len(seed)], 0xff, 0xff, 0xff, 0xff, 1))
+	f.Add(append(seed[:len(seed):len(seed)], '{', '}'))
 	f.Add(full[:len(full)/2])
+	f.Add([]byte(`{"version":2,"source":"s","metrics":{"histograms":{"h":{"bounds":[1,2],"counts":[1],"count":1}}}}`))
+	f.Add([]byte(`{"version":2,"source":"s","metrics":{"windows":{"w":{"window_ms":1,"hist":{"bounds":[-1],"counts":[0,9],"count":-3}}}}}`))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		fr, err := DecodeTelemetryFrame(payload)
@@ -167,12 +182,22 @@ func FuzzTelemetryDecode(f *testing.F) {
 			}
 			return
 		}
-		// A decoded frame must be internally consistent enough to
-		// re-encode (unless a name the fuzzer forged is oversized, which
-		// encode legitimately rejects).
-		if _, err := AppendTelemetryFrame(nil, fr); err != nil &&
-			!errors.Is(err, ErrTelemetryBad) && !errors.Is(err, ErrTelemetryTooLarge) {
+		// Re-encoding can only grow past the cap, through string escapes.
+		if _, err := AppendTelemetryFrame(nil, fr); err != nil && !errors.Is(err, ErrTelemetryTooLarge) {
 			t.Fatalf("re-encode of decoded frame: %v", err)
+		}
+		merged := MergeSnapshots(fr.Metrics, fr.Metrics)
+		for _, s := range []Snapshot{fr.Metrics, merged} {
+			for _, h := range s.Histograms {
+				h.Quantile(0.5)
+				h.Quantile(1)
+			}
+			for _, w := range s.Windows {
+				if w.Hist != nil {
+					w.Hist.Quantile(0.5)
+					w.Hist.Quantile(1)
+				}
+			}
 		}
 	})
 }

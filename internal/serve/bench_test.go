@@ -2,8 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -111,36 +115,62 @@ func (s *benchState) model(name string) *benchModel {
 	return &s.logreg100
 }
 
-// runLeg drives b.N closed-loop requests through classify and reports
-// req/s plus client-observed p50/p99 as benchmark metrics.
-func runLeg(b *testing.B, classify ClassifyFunc, traces [][]float64, conc int) {
+// runLeg drives b.N requests through classify from conc closed-loop
+// clients, each sending its next request the moment the last one answers,
+// and reports req/s plus exact client-observed p50/p99 (nearest rank over
+// every request's latency). A failed request fails the benchmark: the
+// servers here queue 2×conc, so conc closed-loop clients are never
+// refused.
+func runLeg(b *testing.B, classify func([]float64) (Result, error), traces [][]float64, conc int) {
 	b.Helper()
 	// Warm pools, arenas, and scheduler state outside the timer.
-	warm, err := RunLoad(LoadOpts{Classify: classify, Traces: traces, Conc: conc, Requests: 4 * conc})
-	if err != nil || warm.Errors > 0 {
-		b.Fatalf("warmup: %v (%+v)", err, warm)
-	}
+	closedLoop(b, classify, traces, conc, 4*conc)
 	b.ResetTimer()
-	res, err := RunLoad(LoadOpts{Classify: classify, Traces: traces, Conc: conc, Requests: b.N})
+	start := time.Now()
+	lat := closedLoop(b, classify, traces, conc, b.N)
+	elapsed := time.Since(start)
 	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
+	sort.Float64s(lat)
+	rank := func(q float64) float64 { return lat[int(math.Ceil(q*float64(len(lat))))-1] }
+	b.ReportMetric(float64(len(lat))/elapsed.Seconds(), "req/s")
+	b.ReportMetric(rank(0.50), "p50-µs")
+	b.ReportMetric(rank(0.99), "p99-µs")
+}
+
+// closedLoop sends n requests from conc goroutines and returns each
+// request's latency in µs.
+func closedLoop(b *testing.B, classify func([]float64) (Result, error), traces [][]float64, conc, n int) []float64 {
+	lat := make([]float64, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < conc; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				t0 := time.Now()
+				_, err := classify(traces[i%len(traces)])
+				lat[i] = float64(time.Since(t0).Nanoseconds()) / 1e3
+				if err != nil {
+					b.Errorf("request %d: %v", i, err)
+					return
+				}
+			}
+		}()
 	}
-	if res.Errors > 0 {
-		b.Fatalf("%d failed requests: %+v", res.Errors, res)
+	wg.Wait()
+	if b.Failed() {
+		b.FailNow()
 	}
-	b.ReportMetric(res.Throughput, "req/s")
-	b.ReportMetric(res.P50us, "p50-µs")
-	b.ReportMetric(res.P99us, "p99-µs")
-	b.ReportMetric(float64(res.Overloads), "shed/op")
+	return lat
 }
 
 // BenchmarkServeThroughput measures sustained classifications/sec for the
 // admission-controlled micro-batching server against the unbatched server
 // (MaxBatch 1: same queue, one-wide scoring) and the naive
-// one-request-one-PredictBatch path, per model and tier. The coalesced
-// and naive legs run back-to-back on the same frozen model and trace
-// corpus.
+// one-request-one-PredictBatch path (naiveClassifier), per model and
+// tier. The coalesced and naive legs run back-to-back on the same frozen
+// model and trace corpus.
 func BenchmarkServeThroughput(b *testing.B) {
 	st := serveBenchState(b)
 	conc := 256
@@ -170,7 +200,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("%s/naive/%s", model, tier), func(b *testing.B) {
 				obs.Default.Reset()
-				runLeg(b, NaiveClassifier(frozen, st.prep, st.inLen), st.traces, conc)
+				runLeg(b, naiveClassifier(frozen, st.prep, st.inLen), st.traces, conc)
 			})
 		}
 	}
